@@ -47,12 +47,6 @@ def build_parser():
     common.add_argument(
         "--socle-tmax", type=int, default=3, help="socle search level budget"
     )
-    common.add_argument(
-        "--combo-cap", type=int, default=256, help="socle combination enumeration cap"
-    )
-    common.add_argument(
-        "--deg-bound", type=int, default=12, help="sampling degree bound"
-    )
     common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
@@ -97,10 +91,7 @@ def _config(args):
         window=args.window,
         t_max=args.tmax,
         socle_t_max=args.socle_tmax,
-        combo_cap=args.combo_cap,
-        deg_bound=args.deg_bound,
         seed=args.seed,
-        cache_dir=cache,
         json=args.json,
     )
     set_cache_dir(cache)

@@ -16,13 +16,11 @@ class RunConfig:
     window: int = 2
     t_max: int = 8
     socle_t_max: int = 3
-    combo_cap: int = 256
-    deg_bound: int = 12
+    deg_bound: int = 4
     seed: int = 0
-    cache_dir: str = None
     json: bool = False
 
     def __post_init__(self):
-        for name in ("e_max", "window", "t_max", "socle_t_max", "combo_cap", "deg_bound"):
+        for name in ("e_max", "window", "t_max", "socle_t_max", "deg_bound"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .groebner import Ideal
-from .linalg import kernel
+from .linalg import kernel, rows_from_columns
 
 CERTIFIED_TRIVIAL = "certified-trivial"
 STABILIZED = "stabilized-heuristic"
@@ -163,17 +163,11 @@ def _contraction_chain_pieces(I, relations, stored, e_max):
             yield e, stored
             continue
         q = ring.p**e
-        images = []
-        support = {}
+        columns = []
         for m in monos:
             nf = B.normal_form(ring.monomial(tuple(x * q for x in m)))
-            images.append(nf)
-            for _c, em in nf.terms:
-                support.setdefault(em, len(support))
-        rows = [[0] * len(monos) for _ in range(len(support))]
-        for col, nf in enumerate(images):
-            for c, em in nf.terms:
-                rows[support[em]][col] = c
+            columns.append({em: c for c, em in nf.terms})
+        rows = rows_from_columns(columns, ring.field)
         vecs = kernel(rows, ring.field, ncols=len(monos))
         extra = []
         for v in vecs:

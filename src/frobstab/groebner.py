@@ -294,9 +294,6 @@ class Ideal:
     def __repr__(self):
         return f"Ideal({', '.join(map(str, self.gens)) or '0'})"
 
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
-
     def is_unit_ideal(self):
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0] == self.ring.one()
@@ -393,16 +390,6 @@ class Ideal:
                 raise AssertionError("intersection element not divisible in colon")
             out.append(Polynomial(self.ring, q[0]))
         return Ideal(self.ring, out)
-
-    def colon_ideal(self, other):
-        """(I : J) over the generators of J."""
-        result = None
-        for g in other.gens:
-            c = self.colon(g)
-            result = c if result is None else result.intersect(c)
-        if result is None:
-            raise InputError("colon by the zero ideal")
-        return result
 
     def eliminate(self, nfront):
         """Generators of I intersected with the subring without the first

@@ -45,6 +45,21 @@ def rref(rows, field):
     return [tuple(row) for row in m[:r]], pivots
 
 
+def rows_from_columns(columns, field):
+    """Dense rows of the matrix whose column i is the sparse vector
+    ``columns[i]``, a dict from row key to entry; rows follow the order in
+    which keys first appear."""
+    index = {}
+    for col in columns:
+        for key in col:
+            index.setdefault(key, len(index))
+    rows = [[field.zero] * len(columns) for _ in index]
+    for i, col in enumerate(columns):
+        for key, c in col.items():
+            rows[index[key]][i] = c
+    return rows
+
+
 def rank(rows, field):
     return len(rref(rows, field)[0])
 

@@ -242,11 +242,6 @@ class Polynomial:
             return -1
         return max(sum(e) for _c, e in self.terms)
 
-    def weighted_degree(self, weights):
-        if not self.terms:
-            return -1
-        return max(mono_degree(e, weights) for _c, e in self.terms)
-
     def homogeneous_degree(self, weights=None):
         """Common weighted degree of all terms, or None if inhomogeneous."""
         if not self.terms:

@@ -127,11 +127,6 @@ class SemilinearOperator:
             raise ContextMismatchError("vector length does not match the operator")
         return mat_vec(self.matrix, self._coordinate_frobenius(v), self.field)
 
-    def apply_power(self, v, e):
-        for _ in range(e):
-            v = self.apply(v)
-        return v
-
     def full_space(self):
         return Subspace.full(self.field, self.n)
 

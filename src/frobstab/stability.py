@@ -5,8 +5,16 @@ module:
 
 * the certified route computes the Frobenius matrix on the stabilized
   degree-zero carrier and takes the dimension of its stable part;
-* the socle-search route hunts for a socle class of a truncation whose
-  Frobenius annihilator chain stabilizes at the maximal ideal.
+* the socle route looks for a socle class of a truncation whose
+  Frobenius annihilator chain stabilizes at the maximal ideal.  Over F_p
+  the map u -> u^q is additive with fixed coefficients, so "m kills u^q
+  modulo I^[q] + J" is a linear condition on the socle coordinates of u;
+  the classes meeting it for q = p, ..., p^window are one kernel per
+  truncation level.  On an F-injective ring chains descend
+  (Ann(F(eta)) lies in Ann(eta)), so a chain ends at m exactly when it
+  is m throughout, and that kernel, taken modulo the Frobenius closure of
+  the truncation ideal, holds every such class.  A basis of it is
+  confirmed by real colon chains.
 
 A nonzero stable part and the existence of such a class are equivalent
 for rings with an injective Frobenius action, so whenever both routes
@@ -27,6 +35,7 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .frobenius import bracket_power, frobenius_closure, is_frobenius_closed
 from .groebner import Ideal
+from .linalg import kernel, rank, rows_from_columns
 from .localcoh import CM_VERIFIED, CohomologyClass
 
 CHAIN_STABILIZED = "stabilized"
@@ -167,7 +176,6 @@ class SocleCandidate:
 class SocleSearchReport:
     candidates: list
     examined: int
-    exhaustive: bool
     warnings: list
 
     def found(self):
@@ -177,24 +185,33 @@ class SocleSearchReport:
         return {
             "candidates": [c.to_json() for c in self.candidates],
             "examined": self.examined,
-            "exhaustive": self.exhaustive,
             "warnings": list(self.warnings),
         }
 
 
 def socle_stability_search(graded, cfg=None):
-    """Hunt for socle classes whose annihilator chain stabilizes at m.
+    """Socle classes whose annihilator chain stabilizes at m, one basis
+    per truncation level.
 
-    Walks truncation levels t <= socle_t_max; at each level every nonzero
-    F_p-combination of the socle basis is tried when p^dim stays under
-    combo_cap, otherwise the basis plus seeded random combinations with a
-    stated incompleteness warning.  Candidates must stabilize at the full
-    maximal ideal and stay outside the Frobenius closure of the
-    truncation ideal.
+    At level t <= socle_t_max with socle representatives r_1..r_s of
+    I_t + K, a class u = sum c_i r_i has C_0 = m, and m <= C_e holds
+    exactly when x_j * u^q lies in B_e = I_t^[q] + K for every variable
+    x_j.  Over F_p that is linear in c, so the classes meeting it for
+    e = 1..window form the kernel V_t of one stacked matrix of normal
+    forms; a chain that starts at m stops there.  A class of V_t outside
+    the Frobenius closure of I_t has C_e = m for e <= window, so its
+    chain stabilizes at m.  On an F-injective ring Ann(F(eta)) lies in
+    Ann(eta), chains descend, and a chain ending at m is m throughout:
+    the nonzero classes whose chain stabilizes at m outside the closure
+    are exactly V_t minus the closure.  On other rings the classes found
+    are a subset of those, and the report carries a warning.
+
+    A basis of V_t modulo the closure is checked by real colon chains and
+    the same acceptance test: stabilized, limit m, not in the closure.
+    `examined` counts the socle basis vectors put through the linear test.
     """
     cfg = cfg or RunConfig()
     ring = graded.ring
-    p = ring.p
     warnings = []
     try:
         finj, _st = is_f_injective_cm(graded, cfg)
@@ -205,62 +222,52 @@ def socle_stability_search(graded, cfg=None):
     except NotSupportedError:
         warnings.append("CM gate not verified: socle-route evidence is not certified")
     m = Ideal(ring, ring.gens())
-    rng = random.Random(cfg.seed)
-    expect_desc = False  # descent enforcement handled by callers that verified gates
     candidates = []
     examined = 0
-    exhaustive = True
     for t in range(1, cfg.socle_t_max + 1):
         reps = graded.socle_of_truncation(t)
         if not reps:
             continue
-        s = len(reps)
-        combos = []
-        if p**s <= cfg.combo_cap:
-            combos = [c for c in _all_coefficient_vectors(p, s) if any(c)]
-        else:
-            exhaustive = False
-            warnings.append(
-                f"socle dimension {s} at level {t} exceeds the combination cap; "
-                "testing the basis plus 64 random combinations only"
-            )
-            combos = [_unit_vector(s, i) for i in range(s)]
-            for _ in range(64):
-                combos.append(tuple(rng.randrange(p) for _ in range(s)))
-            combos = [c for c in dict.fromkeys(combos) if any(c)]
-        closure = frobenius_closure(
-            Ideal(ring, [x**t for x in graded.sop]),
-            cfg.e_max,
-            cfg.window,
-            relations=graded.relations,
-        )
+        examined += len(reps)
         params = [x**t for x in graded.sop]
-        for coeffs in combos:
+        I = Ideal(ring, params)
+        closure = frobenius_closure(
+            I, cfg.e_max, cfg.window, relations=graded.relations
+        ).closure
+        images = []  # closure normal forms of a basis of V_t modulo the closure
+        for v in _socle_annihilated_by_m(I, graded.relations, reps, cfg.window):
             u = ring.zero()
-            for c, rep in zip(coeffs, reps):
+            for c, rep in zip(v, reps):
                 u = u + rep.scale(c)
-            if u.is_zero():
+            image = closure.normal_form(u)
+            columns = [{mono: c for c, mono in f.terms} for f in images + [image]]
+            if rank(rows_from_columns(columns, ring.field), ring.field) == len(images):
                 continue
-            chain = frobenius_colon_chain(graded, params, u, cfg, expect_desc)
-            examined += 1
+            images.append(image)
+            chain = frobenius_colon_chain(graded, params, u, cfg)
             if (
                 chain.status == CHAIN_STABILIZED
                 and chain.limit.equals(m)
-                and not closure.closure.contains(u)
+                and not closure.contains(u)
             ):
                 candidates.append(SocleCandidate(t, u, chain))
-    return SocleSearchReport(candidates, examined, exhaustive, warnings)
+    return SocleSearchReport(candidates, examined, warnings)
 
 
-def _all_coefficient_vectors(p, s):
-    out = [()]
-    for _ in range(s):
-        out = [v + (c,) for v in out for c in range(p)]
-    return out
-
-
-def _unit_vector(s, i):
-    return tuple(1 if j == i else 0 for j in range(s))
+def _socle_annihilated_by_m(I, relations, reps, window):
+    """Kernel basis of c -> (x_j * (sum c_i r_i)^q mod I^[q] + K) over
+    all variables x_j and q = p^e, e = 1..window."""
+    ring = I.ring
+    columns = [{} for _ in reps]
+    for e in range(1, window + 1):
+        B = bracket_power(I, e, relations)
+        for col, rep in zip(columns, reps):
+            rq = rep.frobenius(e)
+            for j, x in enumerate(ring.gens()):
+                for c, mono in B.normal_form(x * rq).terms:
+                    col[(e, j, mono)] = c
+    rows = rows_from_columns(columns, ring.field)
+    return kernel(rows, ring.field, ncols=len(reps))
 
 
 @dataclass
@@ -350,7 +357,7 @@ def _sample_classes(graded, cfg, rng):
         for mono in I_t.staircase().monomials:
             if any(mono):
                 out.append((t, ring.monomial(mono)))
-        deg = min(cfg.deg_bound, 4)
+        deg = cfg.deg_bound
         for _ in range(6):
             terms = {}
             for _t in range(3):

@@ -1,8 +1,12 @@
 # The headline analyses: annihilator chains, F-injectivity, both
 # F-stability routes, annihilator surveys, component counts.
 
+import json
+import os
+
 import pytest
 
+from frobstab.config import RunConfig
 from frobstab.errors import InputError, NotSupportedError
 from frobstab.field import PrimeField
 from frobstab.groebner import Ideal
@@ -23,7 +27,9 @@ from frobstab.stability import (
     socle_stability_search,
 )
 
-from helpers import seeded
+from helpers import brute_force_socle_candidates, seeded
+
+ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
 
 
 def make(p, names, degrees, relations, sop, primes=None):
@@ -208,6 +214,52 @@ def test_socle_search_cusp_carries_warning(cusp):
     report = socle_stability_search(cusp)
     assert any("not F-injective" in w for w in report.warnings)
     assert not report.found()
+
+
+def _zoo_ring(name):
+    with open(os.path.join(ZOO, name + ".json")) as fh:
+        return GradedRing.from_dict(json.load(fh))
+
+
+PARITY_ZOO = [
+    "poly1_p2",
+    "poly1_p3",
+    "poly1_p5",
+    "lines2_p2",
+    "lines2_p3",
+    "lines2_p5",
+    "lines3_p2",
+    "lines3_p3",
+    "cusp_p2",
+]
+PARITY_EXTRA = {
+    "cusp_p3": (3, ("a", "b"), (2, 3), ["b^2 - a^3"], ["a"]),
+    "cusp_p5": (5, ("a", "b"), (2, 3), ["b^2 - a^3"], ["a"]),
+    "cubic_zxy_p2": (2, ("z", "x", "y"), (1, 1, 1), ["x^3 + y^3 + z^3"], ["x", "y"]),
+}
+
+
+@pytest.mark.parametrize("name", PARITY_ZOO + sorted(PARITY_EXTRA))
+def test_socle_search_matches_brute_force(name):
+    graded = make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
+    graded.check_cm()
+    cfg = RunConfig()
+    report = socle_stability_search(graded, cfg)
+    brute = brute_force_socle_candidates(graded, cfg)
+    assert report.found() == bool(brute)
+    assert {c.level for c in report.candidates} == {t for t, _u in brute}
+    assert {(c.level, c.element) for c in report.candidates} <= set(brute)
+
+
+def test_socle_search_reports_a_basis_per_level():
+    graded = _zoo_ring("lines2_p5")
+    graded.check_cm()
+    report = socle_stability_search(graded)
+    assert len(report.candidates) == 3
+    assert [c.level for c in report.candidates] == [1, 2, 3]
+    for c in report.candidates:
+        assert c.chain.status == CHAIN_STABILIZED
+        assert c.chain.limit.equals(graded.maximal_ideal())
 
 
 # --- combined verdicts ---------------------------------------------------------------------
