@@ -181,7 +181,7 @@ def _buchberger(ring, gens, pair_cap, degree_cap):
         pairs.discard((i, j))
         processed += 1
         if processed > pair_cap:
-            raise ResourceLimitError(f"S-pair cap {pair_cap} exceeded")
+            raise _limit_error(f"S-pair cap {pair_cap} exceeded", ring, gens)
         lmi, lmj = G[i].lm(), G[j].lm()
         lcm = mono_lcm(lmi, lmj)
         if lcm == mono_mul(lmi, lmj):
@@ -190,20 +190,30 @@ def _buchberger(ring, gens, pair_cap, degree_cap):
             continue
         s = _spoly(G[i], G[j], ring)
         if s.degree() > eff_cap:
-            raise ResourceLimitError(
-                f"S-polynomial degree {s.degree()} exceeds cap {eff_cap}"
+            raise _limit_error(
+                f"S-polynomial degree {s.degree()} exceeds cap {eff_cap}", ring, gens
             )
         r = Polynomial(ring, _normal_form_terms(s.terms, gb_terms, ring))
         if r.is_zero():
             continue
         if r.degree() > eff_cap:
-            raise ResourceLimitError(f"remainder degree {r.degree()} exceeds cap {eff_cap}")
+            raise _limit_error(
+                f"remainder degree {r.degree()} exceeds cap {eff_cap}", ring, gens
+            )
         G.append(r.monic())
         gb_terms.append(G[-1].terms)
         t = len(G) - 1
         for k in range(t):
             push(k, t)
     return _reduce_basis(G, ring)
+
+
+def _limit_error(message, ring, gens):
+    top = max(g.degree() for g in gens)
+    return ResourceLimitError(
+        f"{message} in F_{ring.p}[{', '.join(ring.names)}] "
+        f"on {len(gens)} generators of top degree {top}"
+    )
 
 
 def _chain_skip(G, pairs, i, j, lcm):

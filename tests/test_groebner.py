@@ -307,7 +307,8 @@ def test_socle_requires_artinian():
 def test_pair_cap_fails_loudly():
     R = ring(3, ("x", "y", "z"))
     I = Ideal.parse(R, ["x^2*y - z^2", "y^2*z - x^2", "z^2*x - y^2"])
-    with pytest.raises(ResourceLimitError):
+    msg = r"S-pair cap 2 exceeded in F_3\[x, y, z\] on 3 generators of top degree 3"
+    with pytest.raises(ResourceLimitError, match=msg):
         I.groebner_basis(pair_cap=2)
 
 

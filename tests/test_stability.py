@@ -251,6 +251,27 @@ def test_socle_search_matches_brute_force(name):
     assert {(c.level, c.element) for c in report.candidates} <= set(brute)
 
 
+@pytest.mark.parametrize("window", [2, 1, 3])
+@pytest.mark.parametrize("name", PARITY_ZOO + sorted(PARITY_EXTRA))
+def test_socle_candidate_chains_match_colon_chains(name, window):
+    graded = make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
+    graded.check_cm()
+    cfg = RunConfig(window=window)
+    for cand in socle_stability_search(graded, cfg).candidates:
+        params = [x**cand.level for x in graded.sop]
+        real = frobenius_colon_chain(graded, params, cand.element, cfg)
+        assert cand.chain.to_json() == real.to_json()
+
+
+def test_socle_search_needs_window_within_e_max():
+    # the colon loop stops at e_max = 1 before counting two equalities
+    graded = _zoo_ring("lines2_p5")
+    graded.check_cm()
+    cfg = RunConfig(e_max=1, window=2)
+    assert brute_force_socle_candidates(graded, cfg) == []
+    assert not socle_stability_search(graded, cfg).found()
+
+
 def test_socle_search_reports_a_basis_per_level():
     graded = _zoo_ring("lines2_p5")
     graded.check_cm()
