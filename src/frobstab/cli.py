@@ -22,12 +22,7 @@ from .frobenius import bracket_power, frobenius_closure, frobenius_root
 from .groebner import Ideal, set_cache_dir
 from .imperfect import build_example_extension, find_nilpotent_in_tensor
 from .localcoh import GradedRing
-from .stability import (
-    connected_components_check,
-    f_injectivity_witness,
-    f_stability,
-    is_f_injective_cm,
-)
+from .stability import f_injectivity_witness, f_stability, is_f_injective_cm
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -164,12 +159,7 @@ def cmd_ring_check(args, cfg, out):
 
 def cmd_stability(args, cfg, out):
     graded = _load_ring(args.ring)
-    report = f_stability(graded, cfg).to_json()
-    if graded.dim == 1 and graded.minimal_primes:
-        report["sw_check"] = connected_components_check(graded, cfg)
-    else:
-        report["sw_check"] = None
-    _emit(report, cfg.json, out)
+    _emit(f_stability(graded, cfg).to_json(), cfg.json, out)
     return EXIT_OK
 
 
@@ -226,15 +216,10 @@ def zoo_row(graded, cfg):
     row["stable_status"] = report.certified_status
     row["socle_found"] = report.socle.found()
     row["agreement"] = report.agreement
-    if graded.dim == 1 and graded.minimal_primes:
-        sw = connected_components_check(graded, cfg)
-        row["sw"] = {
-            "components": sw["components"],
-            "formula": sw["formula"],
-            "agree": sw["agree"],
-        }
-    else:
-        row["sw"] = None
+    sw = report.components
+    row["sw"] = (
+        None if sw is None else {k: sw[k] for k in ("components", "formula", "agree")}
+    )
     return row
 
 

@@ -152,34 +152,19 @@ class TensorNilpotentWitness:
         }
 
 
-def find_nilpotent_in_tensor(L, combo_cap=64):
-    """Search the kernel of the p-th power matrix for a witness.
+def find_nilpotent_in_tensor(L):
+    """The first canonical kernel vector of the p-th power matrix with a
+    coordinate outside k^p, as a witness.
 
-    Returns None when the kernel is trivial or every inspected kernel
-    vector has all coordinates inside k^p; the search covers the
-    canonical kernel basis and F_p-combinations of it up to the cap.
+    Returns None when the kernel is trivial or every basis vector has all
+    coordinates inside k^p.  F_p-combinations of such vectors stay inside
+    (k^p)^n, so searching them could find nothing the basis misses.
     """
     k = L.base
     n = L.degree
-    rows = p_power_matrix(L)
-    basis = kernel(rows, k, ncols=n)
-    if not basis:
-        return None
-    candidates = list(basis)
-    combos = 0
-    if len(basis) > 1:
-        for scalars in _nonzero_vectors(k.p, len(basis)):
-            if combos >= combo_cap:
-                break
-            vec = [k.zero] * n
-            for c, b in zip(scalars, basis):
-                if c:
-                    cval = k.const(c)
-                    vec = [k.add(x, k.mul(cval, y)) for x, y in zip(vec, b)]
-            candidates.append(tuple(vec))
-            combos += 1
+    basis = kernel(p_power_matrix(L), k, ncols=n)
     basis_names = ["1"] + [f"y^{j}" if j > 1 else "y" for j in range(1, n)]
-    for vec in candidates:
+    for vec in basis:
         cert = None
         for i, a in enumerate(vec):
             if not a.is_zero() and a.pth_root() is None:
@@ -197,12 +182,3 @@ def find_nilpotent_in_tensor(L, combo_cap=64):
             raise AssertionError("kernel vector failed the direct relation check")
         return TensorNilpotentWitness(list(vec), basis_names, cert)
     return None
-
-
-def _nonzero_vectors(p, length):
-    out = [()]
-    for _ in range(length):
-        out = [v + (c,) for v in out for c in range(p)]
-    for v in out:
-        if any(v):
-            yield v

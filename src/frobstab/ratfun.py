@@ -237,9 +237,6 @@ class RatFunField:
     def var(self, name):
         return self.from_poly(self.ring.var(name))
 
-    def const(self, c):
-        return self.from_poly(self.ring.const(c))
-
     def add(self, a, b):
         return a + b
 

@@ -16,6 +16,8 @@ module:
   the truncation ideal, holds every such class.  A basis of it is
   confirmed by the same normal forms: m lies in C_e, so C_e = m unless
   u^q lies in I^[q] + J, and u^q reduces linearly like x_j * u^q.
+  The socle candidates are certified-grade only when the ring is
+  F-injective, which `f_stability` decides once and reports beside them.
 
 A nonzero stable part and the existence of such a class are equivalent
 for rings with an injective Frobenius action, so whenever both routes
@@ -177,7 +179,6 @@ class SocleCandidate:
 class SocleSearchReport:
     candidates: list
     examined: int
-    warnings: list
 
     def found(self):
         return bool(self.candidates)
@@ -186,7 +187,6 @@ class SocleSearchReport:
         return {
             "candidates": [c.to_json() for c in self.candidates],
             "examined": self.examined,
-            "warnings": list(self.warnings),
         }
 
 
@@ -204,8 +204,9 @@ def socle_stability_search(graded, cfg=None):
     lies in Ann(eta), chains descend, and a chain ending at m is m
     throughout: the nonzero classes whose chain stabilizes at m outside
     the Frobenius closure of I_t are exactly V_t minus the closure.  On
-    other rings the classes found are a subset of those, and the report
-    carries a warning.
+    other rings the classes found are a subset of those.  The candidates
+    are certified-grade only when the caller's `is_f_injective_cm` holds;
+    this search does not decide F-injectivity itself.
 
     A basis of V_t modulo the closure is confirmed without colon chains.
     Since m is maximal and lies in C_e, C_e = m unless C_e = (1), that is
@@ -218,15 +219,6 @@ def socle_stability_search(graded, cfg=None):
     """
     cfg = cfg or RunConfig()
     ring = graded.ring
-    warnings = []
-    try:
-        finj, _st = is_f_injective_cm(graded, cfg)
-        if not finj:
-            warnings.append(
-                "ring is not F-injective: socle-route evidence is not certified"
-            )
-    except NotSupportedError:
-        warnings.append("CM gate not verified: socle-route evidence is not certified")
     m = Ideal(ring, ring.gens())
     # a colon loop ends at e_max before it can count `window` equalities
     stabilizes = cfg.window <= cfg.e_max
@@ -254,7 +246,7 @@ def socle_stability_search(graded, cfg=None):
             if stabilizes and limit_is_m and not image.is_zero():
                 chain = ChainReport([m] * (cfg.window + 1), CHAIN_STABILIZED, True)
                 candidates.append(SocleCandidate(t, u, chain))
-    return SocleSearchReport(candidates, examined, warnings)
+    return SocleSearchReport(candidates, examined)
 
 
 def _combine(coeffs, polys, ring):
@@ -294,6 +286,7 @@ class StabilityReport:
     certified_status: str
     socle: SocleSearchReport
     agreement: bool
+    components: dict | None
 
     def to_json(self):
         return {
@@ -306,6 +299,7 @@ class StabilityReport:
                 "heuristic_candidates": [c.to_json() for c in self.socle.candidates],
                 "agreement": self.agreement,
             },
+            "sw_check": self.components,
         }
 
 
@@ -316,7 +310,9 @@ def f_stability(graded, cfg=None):
     socle candidate (stabilized chain on an F-injective CM ring) is a
     theorem violation and raises; a missing candidate under a positive
     certified verdict only flags disagreement, because the search range
-    is finite.
+    is finite.  On a one-dimensional ring with declared minimal primes
+    the report also carries the component check, fed the certified
+    stable dimension; each phase runs once per call.
     """
     cfg = cfg or RunConfig()
     graded.check_cm()
@@ -332,8 +328,11 @@ def f_stability(graded, cfg=None):
                 f"{graded.name}: certified stable part is zero but a socle class "
                 "with annihilator m exists; the stability equivalence is violated"
             )
+    components = None
+    if graded.dim == 1 and graded.minimal_primes:
+        components = connected_components_check(graded, dim)
     return StabilityReport(
-        graded.name, finj, verdict, dim, status, socle, agreement
+        graded.name, finj, verdict, dim, status, socle, agreement, components
     )
 
 
@@ -518,8 +517,11 @@ def validate_minimal_primes(graded):
     return primes
 
 
-def connected_components_check(graded, cfg=None):
-    """Compare punctured-spectrum components with 1 + stable dimension.
+def connected_components_check(graded, stable_dim):
+    """Compare punctured-spectrum components with 1 + stable_dim.
+
+    `stable_dim` is the dimension of the stable part that the certified
+    route (`is_f_stable_certified`) computed; `f_stability` passes its own.
 
     Components are computed on the graph of declared minimal primes with
     an edge when P_i + P_j is not primary to the maximal ideal.  The
@@ -527,7 +529,6 @@ def connected_components_check(graded, cfg=None):
     invariance of the stable part under base change is what lets the
     F_p model stand in for that hypothesis.
     """
-    cfg = cfg or RunConfig()
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
     graded.check_cm()
@@ -557,8 +558,7 @@ def connected_components_check(graded, cfg=None):
                 continue
             seen.add(node)
             stack.extend(adj[node] - seen)
-    _verdict, dim, _status = is_f_stable_certified(graded, cfg)
-    formula = 1 + dim
+    formula = 1 + stable_dim
     return {
         "components": components,
         "formula": formula,

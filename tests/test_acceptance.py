@@ -21,7 +21,6 @@ from frobstab.poly import PolyRing
 from frobstab.semilinear import SemilinearOperator, Subspace
 from frobstab.stability import (
     CHAIN_NOT_STABILIZED,
-    connected_components_check,
     f_injectivity_witness,
     f_stability,
     frobenius_colon_chain,
@@ -76,7 +75,7 @@ def test_criterion_01_main_theorem_agreement(zoo_reports):
     ok(1, f"both stability routes agree on {checked} F-injective zoo rings")
 
 
-def test_criterion_02_component_count_desk_instances(zoo_rings, zoo_reports):
+def test_criterion_02_component_count_desk_instances(zoo_reports):
     """n coordinate lines give n components and stable dimension n-1,
     exactly, for p in {2, 3}."""
     for n, family in ((2, "lines2"), (3, "lines3"), (4, "lines4")):
@@ -84,7 +83,7 @@ def test_criterion_02_component_count_desk_instances(zoo_rings, zoo_reports):
             name = f"{family}_p{p}"
             report = zoo_reports[name]
             assert report.stable_dim == n - 1, name
-            sw = connected_components_check(zoo_rings[name], CFG)
+            sw = report.components
             assert sw["components"] == n, name
             assert sw["formula"] == n, name
             assert sw["agree"], name

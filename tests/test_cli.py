@@ -47,6 +47,16 @@ def test_stability_report_schema():
     assert data["sw_check"]["components"] == 3
 
 
+def test_stability_text_output_ends_with_component_check():
+    code, text = run(["stability", "--ring", ring_path("lines3_p2")])
+    assert code == 0
+    lines = text.splitlines()
+    sw = lines.index("sw_check:")
+    assert lines.index("f_stable:") < sw
+    assert all(line.startswith("  ") for line in lines[sw + 1 :])
+    assert "  components: 3" in lines[sw + 1 :]
+
+
 def test_malformed_ring_file_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

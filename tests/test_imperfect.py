@@ -43,7 +43,7 @@ def test_p_power_matrix_columns_p2():
     assert col(3) == (k.mul(u, v), k.zero, k.add(k.mul(u, u), v), k.zero)
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 7])
 def test_witness_exists_and_verifies(p):
     L = build_example_extension(p)
     k = L.base
