@@ -42,7 +42,6 @@ def build_parser():
     common.add_argument(
         "--socle-tmax", type=int, default=3, help="socle search level budget"
     )
-    common.add_argument("--seed", type=int, default=0, help="sampling seed")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
         "--cache", default=None, help="GB cache directory (overrides FROBSTAB_CACHE)"
@@ -86,7 +85,6 @@ def _config(args):
         window=args.window,
         t_max=args.tmax,
         socle_t_max=args.socle_tmax,
-        seed=args.seed,
         json=args.json,
     )
     set_cache_dir(cache)

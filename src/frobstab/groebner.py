@@ -237,23 +237,14 @@ def _reduce_basis(G, ring):
     for g in items:
         if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
             minimal.append(g)
-    # autoreduce to the unique reduced basis
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = [g.terms for j, g in enumerate(minimal) if j != i]
-            r = Polynomial(ring, _normal_form_terms(minimal[i].terms, others, ring))
-            r = r.monic()
-            if r.terms != minimal[i].terms:
-                if r.is_zero():
-                    del minimal[i]
-                else:
-                    minimal[i] = r
-                changed = True
-                break
-    minimal.sort(key=lambda g: ring.key(g.lm()))
-    return tuple(minimal)
+    # autoreduce in one pass: no lead of a minimal basis divides another,
+    # so each element keeps its lead (and the ascending order) while its
+    # tail, all below that lead, reduces to the unique normal form
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = [h.terms for j, h in enumerate(minimal) if j != i]
+        reduced.append(Polynomial(ring, _normal_form_terms(g.terms, others, ring)).monic())
+    return tuple(reduced)
 
 
 # --- staircases ---------------------------------------------------------------
@@ -265,17 +256,12 @@ class StaircaseBasis:
 
     ring: PolyRing
     monomials: tuple
-    weights: tuple = None
-    degree: int = None
 
     def __len__(self):
         return len(self.monomials)
 
     def index(self):
         return {m: i for i, m in enumerate(self.monomials)}
-
-    def polynomials(self):
-        return [self.ring.monomial(m) for m in self.monomials]
 
 
 class Ideal:
@@ -353,9 +339,6 @@ class Ideal:
 
     def equals(self, other):
         return self.contains_ideal(other) and other.contains_ideal(self)
-
-    def sum(self, other):
-        return Ideal(self.ring, self.gens + other.gens)
 
     def radical_contains(self, f):
         """Rabinowitsch membership test: f in rad(I)."""
@@ -436,7 +419,7 @@ class Ideal:
     def staircase(self, weights=None, degree=None):
         lts = self.leading_monomials()
         if lts and not any(lts[0]):
-            return StaircaseBasis(self.ring, (), weights, degree)  # unit ideal
+            return StaircaseBasis(self.ring, ())  # unit ideal
         n = self.ring.nvars
         if degree is None:
             bounds = []
@@ -455,7 +438,7 @@ class Ideal:
             monos = _weighted_monomials(n, weights, degree)
         out = [m for m in monos if not any(mono_divides(l, m) for l in lts)]
         out.sort(key=self.ring.key)
-        return StaircaseBasis(self.ring, tuple(out), weights, degree)
+        return StaircaseBasis(self.ring, tuple(out))
 
     def coordinates(self, f, stair):
         """Coordinates of f's class in the staircase basis.

@@ -268,13 +268,6 @@ class Polynomial:
         p = self.ring.p
         return Polynomial(self.ring, tuple(((a * c) % p, e) for a, e in self.terms))
 
-    def coefficient(self, mono):
-        mono = tuple(mono)
-        for c, e in self.terms:
-            if e == mono:
-                return c
-        return 0
-
     # --- arithmetic -----------------------------------------------------------
 
     def _check(self, other):

@@ -225,15 +225,6 @@ class RatFunField:
             raise ContextMismatchError("polynomial from a different ring")
         return RationalFunction(f, self.ring.one())
 
-    def parse(self, text):
-        if "/" in text:
-            top, bottom = text.split("/", 1)
-            return RationalFunction(
-                self.ring.parse(top.strip().strip("()")),
-                self.ring.parse(bottom.strip().strip("()")),
-            )
-        return self.from_poly(self.ring.parse(text))
-
     def var(self, name):
         return self.from_poly(self.ring.var(name))
 

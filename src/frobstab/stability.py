@@ -19,6 +19,11 @@ module:
   The socle candidates are certified-grade only when the ring is
   F-injective, which `f_stability` decides once and reports beside them.
 
+Each truncation ideal is Frobenius-closed once per ring
+(`GradedRing.closure_of_truncation`): the F-injectivity test, its witness
+and the socle route's level 1 read the same closure of I_1 + J.  The
+certified route reads none of these closures, so it stays independent.
+
 A nonzero stable part and the existence of such a class are equivalent
 for rings with an injective Frobenius action, so whenever both routes
 finish with certified/stabilized statuses their verdicts must agree;
@@ -36,9 +41,9 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
-from .frobenius import bracket_power, frobenius_closure, is_frobenius_closed
+from .frobenius import bracket_power
 from .groebner import Ideal
-from .linalg import kernel, rank, rows_from_columns
+from .linalg import kernel, rows_from_columns, rref
 from .localcoh import CM_VERIFIED, CohomologyClass
 
 CHAIN_STABILIZED = "stabilized"
@@ -124,28 +129,27 @@ def frobenius_annihilator(eta, cfg=None, expect_descending=False):
 
 
 def is_f_injective_cm(graded, cfg=None):
-    """(verdict, status) via the parameter-ideal Frobenius closure test.
+    """(verdict, status) via the parameter-ideal Frobenius closure test:
+    the closure of I_1 + J, read from `graded.closure_of_truncation`,
+    equals I_1 + J.
 
     Stated for Cohen-Macaulay rings only; the CM gate must be verified.
     """
     cfg = cfg or RunConfig()
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("the F-injectivity criterion requires a verified CM gate")
-    I1 = Ideal(graded.ring, list(graded.sop))
-    return is_frobenius_closed(I1, cfg.e_max, cfg.window, relations=graded.relations)
+    report = graded.closure_of_truncation(1, cfg.e_max, cfg.window)
+    return report.closure.equals(graded.truncation_ideal(1)), report.status
 
 
 def f_injectivity_witness(graded, cfg=None):
     """An element of the closure of the parameter ideal that is not in
-    the ideal itself, when F-injectivity fails; None otherwise."""
+    the ideal itself, when F-injectivity fails; None otherwise.  The
+    closure is the one `is_f_injective_cm` reads."""
     cfg = cfg or RunConfig()
-    I1 = Ideal(graded.ring, list(graded.sop))
-    report = frobenius_closure(I1, cfg.e_max, cfg.window, relations=graded.relations)
-    stored = Ideal(graded.ring, I1.gens + graded.relations.gens)
-    for g in report.closure.gens:
-        if not stored.contains(g):
-            return g
-    return None
+    report = graded.closure_of_truncation(1, cfg.e_max, cfg.window)
+    I1 = graded.truncation_ideal(1)
+    return next((g for g in report.closure.gens if not I1.contains(g)), None)
 
 
 def is_f_stable_certified(graded, cfg=None):
@@ -208,14 +212,19 @@ def socle_stability_search(graded, cfg=None):
     are certified-grade only when the caller's `is_f_injective_cm` holds;
     this search does not decide F-injectivity itself.
 
-    A basis of V_t modulo the closure is confirmed without colon chains.
-    Since m is maximal and lies in C_e, C_e = m unless C_e = (1), that is
-    unless u^q lies in B_e; the normal form of u^q is sum c_i NF(r_i^q),
-    from columns the linear test reduces anyway.  A class with no such
-    unit step has the chain [m] * (window + 1) that a colon loop returns,
-    stabilized when window <= e_max, and it is accepted by the same test
-    as before: stabilized, limit m, not in the closure.  `examined` counts
-    the socle basis vectors put through the linear test.
+    The closure of I_t is the ring's shared `closure_of_truncation`, and
+    the basis of V_t modulo it is the set of pivot columns of one RREF of
+    the closure normal forms of the V_t basis: each vector outside the
+    span of the earlier ones, a nonzero image in particular.
+
+    That basis is confirmed without colon chains.  Since m is maximal
+    and lies in C_e, C_e = m unless C_e = (1), that is unless u^q lies in
+    B_e; the normal form of u^q is sum c_i NF(r_i^q), from columns the
+    linear test reduces anyway.  A class with no such unit step has the
+    chain [m] * (window + 1) that a colon loop returns, stabilized when
+    window <= e_max, and it is accepted by the same test as before:
+    stabilized, limit m, not in the closure.  `examined` counts the socle
+    basis vectors put through the linear test.
     """
     cfg = cfg or RunConfig()
     ring = graded.ring
@@ -230,22 +239,16 @@ def socle_stability_search(graded, cfg=None):
             continue
         examined += len(reps)
         I = Ideal(ring, [x**t for x in graded.sop])
-        closure = frobenius_closure(
-            I, cfg.e_max, cfg.window, relations=graded.relations
-        ).closure
+        closure = graded.closure_of_truncation(t, cfg.e_max, cfg.window).closure
         vecs, powers = _socle_annihilated_by_m(I, graded.relations, reps, cfg.window)
-        images = []  # closure normal forms of a basis of V_t modulo the closure
-        for v in vecs:
-            u = _combine(v, reps, ring)
-            image = closure.normal_form(u)
-            columns = [{mono: c for c, mono in f.terms} for f in images + [image]]
-            if rank(rows_from_columns(columns, ring.field), ring.field) == len(images):
-                continue
-            images.append(image)
-            limit_is_m = all(not _combine(v, nfs, ring).is_zero() for nfs in powers)
-            if stabilizes and limit_is_m and not image.is_zero():
+        us = [_combine(v, reps, ring) for v in vecs]
+        images = [{mono: c for c, mono in closure.normal_form(u).terms} for u in us]
+        _red, pivots = rref(rows_from_columns(images, ring.field), ring.field)
+        for i in pivots:  # a basis of V_t modulo the closure
+            limit_is_m = all(not _combine(vecs[i], nfs, ring).is_zero() for nfs in powers)
+            if stabilizes and limit_is_m:
                 chain = ChainReport([m] * (cfg.window + 1), CHAIN_STABILIZED, True)
-                candidates.append(SocleCandidate(t, u, chain))
+                candidates.append(SocleCandidate(t, us[i], chain))
     return SocleSearchReport(candidates, examined)
 
 
@@ -267,10 +270,11 @@ def _socle_annihilated_by_m(I, relations, reps, window):
         B = bracket_power(I, e, relations)
         nfs = []
         for col, rep in zip(columns, reps):
-            rq = rep.frobenius(e)
-            nfs.append(B.normal_form(rq))
+            nf = B.normal_form(rep.frobenius(e))
+            nfs.append(nf)
+            # x_j * (r^q - NF(r^q)) lies in B, so reducing x_j * NF(r^q) suffices
             for j, x in enumerate(ring.gens()):
-                for c, mono in B.normal_form(x * rq).terms:
+                for c, mono in B.normal_form(x * nf).terms:
                     col[(e, j, mono)] = c
         powers.append(nfs)
     rows = rows_from_columns(columns, ring.field)

@@ -11,7 +11,7 @@ from frobstab.groebner import (
     set_cache_dir,
     socle_basis,
 )
-from frobstab.poly import PolyRing
+from frobstab.poly import PolyRing, mono_divides
 
 from helpers import MacaulayOracle, random_poly, seeded
 
@@ -48,20 +48,40 @@ def test_gb_linear_row_reduction():
     assert I.canonical_strings() == ["b", "a"]
 
 
-def test_gb_uniqueness_under_generator_mixing():
-    # 200 random invertible mixes of the same generators give the same
-    # reduced basis
+def _mixed_generator_sets():
+    # 200 random generator triples over F_3[x, y, z], each with a random
+    # invertible mix of itself
     rng = seeded(90125)
     R = ring(3, ("x", "y", "z"))
     for trial in range(200):
         gens = []
         while len([g for g in gens if g]) < 2:
             gens = [random_poly(R, rng, max_terms=3, max_exp=2) for _ in range(3)]
-        base = Ideal(R, gens).canonical_strings()
         f, g, h = gens
         c = rng.randint(1, 2)
         mixed = [f.scale(c), g + f.scale(rng.randint(0, 2)), h + g.scale(rng.randint(0, 2))]
-        assert Ideal(R, mixed).canonical_strings() == base
+        yield Ideal(R, gens), Ideal(R, mixed)
+
+
+def test_gb_uniqueness_under_generator_mixing():
+    # random invertible mixes of the same generators give the same
+    # reduced basis
+    for I, mixed in _mixed_generator_sets():
+        assert mixed.canonical_strings() == I.canonical_strings()
+
+
+def test_gb_is_reduced():
+    # every element is monic and no term of it is divisible by the lead
+    # of another element
+    clear_memory_cache()
+    for pair in _mixed_generator_sets():
+        for I in pair:
+            gb = I.groebner_basis()
+            for i, g in enumerate(gb):
+                assert g.lc() == 1
+                others = [h.lm() for j, h in enumerate(gb) if j != i]
+                for _c, mono in g.terms:
+                    assert not any(mono_divides(lead, mono) for lead in others), gb
 
 
 # --- normal form and membership ---------------------------------------------------

@@ -1,13 +1,17 @@
 # The headline analyses: annihilator chains, F-injectivity, both
 # F-stability routes, annihilator surveys, component counts.
 
+import io
 import json
 import os
+from collections import Counter
 
 import pytest
 
+import frobstab.frobenius as frobenius
+import frobstab.localcoh as localcoh
 import frobstab.stability as stability
-from frobstab.cli import zoo_row
+from frobstab.cli import main, zoo_row
 from frobstab.config import RunConfig
 from frobstab.errors import InputError, NotSupportedError
 from frobstab.field import PrimeField
@@ -237,6 +241,11 @@ PARITY_EXTRA = {
     "cusp_p3": (3, ("a", "b"), (2, 3), ["b^2 - a^3"], ["a"]),
     "cusp_p5": (5, ("a", "b"), (2, 3), ["b^2 - a^3"], ["a"]),
     "cubic_zxy_p2": (2, ("z", "x", "y"), (1, 1, 1), ["x^3 + y^3 + z^3"], ["x", "y"]),
+    # a cusp and a line through it: not F-injective, and each V_t holds a
+    # class in the Frobenius closure of I_t beside one outside it
+    "cusp_line_p2": (
+        2, ("a", "b", "c"), (2, 3, 1), ["a*c", "b*c", "b^2 - a^3"], ["a + c^2"]
+    ),
 }
 
 
@@ -401,3 +410,36 @@ def test_zoo_row_runs_each_phase_once(monkeypatch):
     row = zoo_row(_zoo_ring("lines3_p3"), RunConfig())
     assert row["sw"] == {"components": 3, "formula": 3, "agree": True}
     assert calls == {name: 1 for name in names}
+
+
+def _count_closures(monkeypatch):
+    """Counts of `frobenius_closure` calls keyed by the closed ideal's
+    generators, wherever the ring memo or the frobenius module calls it."""
+    calls = Counter()
+    original = frobenius.frobenius_closure
+
+    def wrapper(I, *args, **kwargs):
+        calls[tuple(str(g) for g in I.gens)] += 1
+        return original(I, *args, **kwargs)
+
+    monkeypatch.setattr(localcoh, "frobenius_closure", wrapper)
+    monkeypatch.setattr(frobenius, "frobenius_closure", wrapper)
+    return calls
+
+
+def test_zoo_row_closes_each_parameter_ideal_once(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    graded = _zoo_ring("lines3_p3")
+    cfg = RunConfig()
+    zoo_row(graded, cfg)
+    levels = range(1, cfg.socle_t_max + 1)
+    assert calls == {tuple(str(x**t) for x in graded.sop): 1 for t in levels}
+
+
+def test_ring_check_closes_the_parameter_ideal_once(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    out = io.StringIO()
+    argv = ["ring-check", "--ring", os.path.join(ZOO, "cusp_p2.json"), "--json"]
+    assert main(argv, out=out) == 0
+    assert json.loads(out.getvalue())["f_injective"]["witness"] == "b"
+    assert calls == {("a",): 1}
