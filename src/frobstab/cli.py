@@ -139,10 +139,10 @@ def cmd_ring_check(args, cfg, out):
     report = graded.describe()
     report["cm"] = {"status": status, "witness": str(witness) if witness else None}
     if status == "verified":
-        value, fstatus = is_f_injective_cm(graded, cfg)
+        value, fstatus = is_f_injective_cm(graded)
         finj = {"value": value, "status": fstatus, "witness": None}
         if not value:
-            w = f_injectivity_witness(graded, cfg)
+            w = f_injectivity_witness(graded)
             finj["witness"] = str(w) if w is not None else None
         report["f_injective"] = finj
     else:

@@ -14,8 +14,8 @@ as one can overshoot all the way to the unit ideal; instead it is solved
 exactly by linear algebra on the finite staircase carrier: over F_p the
 map x -> x^q is additive with fixed coefficients, so membership of x^q
 in a fixed ideal is a linear condition on the staircase coordinates of x.
-This requires the input ideal to be m-primary in the quotient, which
-covers every parameter ideal the F-injectivity criterion needs.
+This requires the input ideal to be m-primary in the quotient, as an
+ideal generated by a system of parameters is.
 """
 
 from dataclasses import dataclass

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .field import PrimeField
-from .frobenius import frobenius_closure
 from .groebner import Ideal, socle_basis
 from .linalg import rank, solve
 from .poly import GREVLEX, PolyRing
@@ -45,7 +44,6 @@ class GradedRing:
         self.name = name or f"F_{field.p}[{','.join(names)}]/({', '.join(map(str, self.relations.gens)) or '0'})"
         self.cm_status = CM_UNCHECKED
         self.cm_witness = None
-        self._closures = {}  # (t, e_max, window) -> closure_of_truncation report
         self._validate()
 
     @classmethod
@@ -153,15 +151,6 @@ class GradedRing:
 
     def socle_of_truncation(self, t):
         return socle_basis(self.truncation_ideal(t))
-
-    def closure_of_truncation(self, t, e_max, window):
-        """The `frobenius_closure` report of (x_1^t, ..., x_d^t) modulo J,
-        computed once per (t, e_max, window) on this ring."""
-        key = (t, e_max, window)
-        if key not in self._closures:
-            I = Ideal(self.ring, [x**t for x in self.sop])
-            self._closures[key] = frobenius_closure(I, e_max, window, relations=self.relations)
-        return self._closures[key]
 
     def cohomology_class(self, numerator, level=1):
         return CohomologyClass(self, level, numerator)

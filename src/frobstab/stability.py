@@ -1,5 +1,10 @@
 """F-injectivity and F-stability analyses on graded rings.
 
+F-injectivity of a Cohen-Macaulay ring is one rank: H^d_m(R) is an
+essential extension of its socle, the image of socle(R/I_1), and ker F
+is a submodule, so F is injective exactly when u -> u^p mod I_1^[p] + J,
+linear on socle(R/I_1) over F_p, has full rank.
+
 Two independent routes decide F-stability of the top local cohomology
 module:
 
@@ -9,20 +14,15 @@ module:
   Frobenius annihilator chain stabilizes at the maximal ideal.  Over F_p
   the map u -> u^q is additive with fixed coefficients, so "m kills u^q
   modulo I^[q] + J" is a linear condition on the socle coordinates of u;
-  the classes meeting it for q = p, ..., p^window are one kernel per
-  truncation level.  On an F-injective ring chains descend
-  (Ann(F(eta)) lies in Ann(eta)), so a chain ends at m exactly when it
-  is m throughout, and that kernel, taken modulo the Frobenius closure of
-  the truncation ideal, holds every such class.  A basis of it is
-  confirmed by the same normal forms: m lies in C_e, so C_e = m unless
-  u^q lies in I^[q] + J, and u^q reduces linearly like x_j * u^q.
-  The socle candidates are certified-grade only when the ring is
-  F-injective, which `f_stability` decides once and reports beside them.
+  the classes meeting it for q = p, ..., p^window are one kernel V_t per
+  truncation level, and the same normal forms confirm each basis vector.
+  On an F-injective ring these are exactly the classes whose chain
+  stabilizes at m outside the Frobenius closure of I_t, which is I_t + J
+  (Fedder-Watanabe).  On a ring that is not F-injective the theorem does
+  not apply, and the certified `f_injective` false beside the candidates
+  says so.
 
-Each truncation ideal is Frobenius-closed once per ring
-(`GradedRing.closure_of_truncation`): the F-injectivity test, its witness
-and the socle route's level 1 read the same closure of I_1 + J.  The
-certified route reads none of these closures, so it stays independent.
+No verdict computes a Frobenius closure.
 
 A nonzero stable part and the existence of such a class are equivalent
 for rings with an injective Frobenius action, so whenever both routes
@@ -43,7 +43,7 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .frobenius import bracket_power
 from .groebner import Ideal
-from .linalg import kernel, rows_from_columns, rref
+from .linalg import kernel, rows_from_columns
 from .localcoh import CM_VERIFIED, CohomologyClass
 
 CHAIN_STABILIZED = "stabilized"
@@ -128,28 +128,40 @@ def frobenius_annihilator(eta, cfg=None, expect_descending=False):
     return frobenius_colon_chain(graded, params, eta.numerator, cfg, expect_descending)
 
 
-def is_f_injective_cm(graded, cfg=None):
-    """(verdict, status) via the parameter-ideal Frobenius closure test:
-    the closure of I_1 + J, read from `graded.closure_of_truncation`,
-    equals I_1 + J.
+def is_f_injective_cm(graded):
+    """(verdict, "certified"): F is injective on H^d_m(R) exactly when the
+    map c -> NF(sum c_i r_i^p) mod I_1^[p] + J has rank s (a zero kernel),
+    where r_1..r_s are the socle representatives of I_1 + J.
 
     Stated for Cohen-Macaulay rings only; the CM gate must be verified.
+    There H^d_m(R) is an essential extension of its socle, which is the
+    image of socle(R/I_1), and ker F is a submodule (F(r eta) =
+    r^p F(eta)), so F is injective exactly when it is on the socle.  The
+    map is linear because c^p = c over F_p; one rank decides it, with no
+    window and no e_max.
     """
-    cfg = cfg or RunConfig()
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("the F-injectivity criterion requires a verified CM gate")
-    report = graded.closure_of_truncation(1, cfg.e_max, cfg.window)
-    return report.closure.equals(graded.truncation_ideal(1)), report.status
+    _reps, vecs = _socle_frobenius_kernel(graded)
+    return not vecs, "certified"
 
 
-def f_injectivity_witness(graded, cfg=None):
-    """An element of the closure of the parameter ideal that is not in
-    the ideal itself, when F-injectivity fails; None otherwise.  The
-    closure is the one `is_f_injective_cm` reads."""
-    cfg = cfg or RunConfig()
-    report = graded.closure_of_truncation(1, cfg.e_max, cfg.window)
-    I1 = graded.truncation_ideal(1)
-    return next((g for g in report.closure.gens if not I1.contains(g)), None)
+def f_injectivity_witness(graded):
+    """A socle class of I_1 + J whose Frobenius image is zero, when
+    F-injectivity fails; None otherwise.  It is sum c_i r_i for the first
+    kernel vector c of the map `is_f_injective_cm` takes the rank of."""
+    reps, vecs = _socle_frobenius_kernel(graded)
+    return _combine(vecs[0], reps, graded.ring) if vecs else None
+
+
+def _socle_frobenius_kernel(graded):
+    """The socle representatives r_i of I_1 + J and a kernel basis of
+    c -> NF(sum c_i r_i^p) mod I_1^[p] + J."""
+    ring = graded.ring
+    reps = graded.socle_of_truncation(1)
+    B = bracket_power(Ideal(ring, graded.sop), 1, graded.relations)
+    columns = [{mono: c for c, mono in B.normal_form(r.frobenius(1)).terms} for r in reps]
+    return reps, kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
 
 
 def is_f_stable_certified(graded, cfg=None):
@@ -203,28 +215,23 @@ def socle_stability_search(graded, cfg=None):
     C_e = (B_e : u^q).  m <= C_e holds exactly when x_j * u^q lies in B_e
     for every variable x_j.  Over F_p that is linear in c, so the classes
     meeting it for e = 0..window form the kernel V_t of one stacked
-    matrix of normal forms (the e = 0 rows vanish on a socle basis); a
-    chain that starts at m stops there.  On an F-injective ring Ann(F(eta))
-    lies in Ann(eta), chains descend, and a chain ending at m is m
-    throughout: the nonzero classes whose chain stabilizes at m outside
-    the Frobenius closure of I_t are exactly V_t minus the closure.  On
-    other rings the classes found are a subset of those.  The candidates
-    are certified-grade only when the caller's `is_f_injective_cm` holds;
-    this search does not decide F-injectivity itself.
+    matrix of normal forms (the e = 0 rows vanish on a socle basis).
 
-    The closure of I_t is the ring's shared `closure_of_truncation`, and
-    the basis of V_t modulo it is the set of pivot columns of one RREF of
-    the closure normal forms of the V_t basis: each vector outside the
-    span of the earlier ones, a nonzero image in particular.
+    Every basis vector of V_t is confirmed without colon chains.  Since m
+    is maximal and lies in C_e, C_e = m unless C_e = (1), that is unless
+    u^q lies in B_e; the normal form of u^q is sum c_i NF(r_i^q), from
+    columns the linear test reduces anyway.  A class with no such unit
+    step has the chain [m] * (window + 1) that a colon loop returns,
+    stabilized when window <= e_max, and is a candidate.
 
-    That basis is confirmed without colon chains.  Since m is maximal
-    and lies in C_e, C_e = m unless C_e = (1), that is unless u^q lies in
-    B_e; the normal form of u^q is sum c_i NF(r_i^q), from columns the
-    linear test reduces anyway.  A class with no such unit step has the
-    chain [m] * (window + 1) that a colon loop returns, stabilized when
-    window <= e_max, and it is accepted by the same test as before:
-    stabilized, limit m, not in the closure.  `examined` counts the socle
-    basis vectors put through the linear test.
+    On an F-injective ring no u^q lies in B_e, chains descend, and I_t
+    is Frobenius closed (Fedder-Watanabe 1989), so V_t minus zero is
+    exactly the set of classes whose chain stabilizes at m outside the
+    closure of I_t.  On a ring that is not F-injective the candidates are
+    the V_t classes whose Frobenius images stay nonzero for e = 0..window;
+    the stability equivalence does not apply there, which the certified
+    `f_injective` false of `f_stability` marks.  `examined` counts the
+    socle basis vectors put through the linear test.
     """
     cfg = cfg or RunConfig()
     ring = graded.ring
@@ -239,16 +246,12 @@ def socle_stability_search(graded, cfg=None):
             continue
         examined += len(reps)
         I = Ideal(ring, [x**t for x in graded.sop])
-        closure = graded.closure_of_truncation(t, cfg.e_max, cfg.window).closure
         vecs, powers = _socle_annihilated_by_m(I, graded.relations, reps, cfg.window)
-        us = [_combine(v, reps, ring) for v in vecs]
-        images = [{mono: c for c, mono in closure.normal_form(u).terms} for u in us]
-        _red, pivots = rref(rows_from_columns(images, ring.field), ring.field)
-        for i in pivots:  # a basis of V_t modulo the closure
-            limit_is_m = all(not _combine(vecs[i], nfs, ring).is_zero() for nfs in powers)
+        for v in vecs:
+            limit_is_m = all(not _combine(v, nfs, ring).is_zero() for nfs in powers)
             if stabilizes and limit_is_m:
                 chain = ChainReport([m] * (cfg.window + 1), CHAIN_STABILIZED, True)
-                candidates.append(SocleCandidate(t, us[i], chain))
+                candidates.append(SocleCandidate(t, _combine(v, reps, ring), chain))
     return SocleSearchReport(candidates, examined)
 
 
@@ -320,7 +323,7 @@ def f_stability(graded, cfg=None):
     """
     cfg = cfg or RunConfig()
     graded.check_cm()
-    finj = is_f_injective_cm(graded, cfg)
+    finj = is_f_injective_cm(graded)
     verdict, dim, status = is_f_stable_certified(graded, cfg)
     socle = socle_stability_search(graded, cfg)
     agreement = verdict == socle.found()
@@ -427,7 +430,7 @@ def sample_frobenius_annihilators(graded, cfg=None):
     """
     cfg = cfg or RunConfig()
     graded.check_cm()
-    finj, _status = is_f_injective_cm(graded, cfg)
+    finj, _status = is_f_injective_cm(graded)
     if not finj:
         raise NotSupportedError("annihilator surveys assume an F-injective ring")
     rng = random.Random(cfg.seed)

@@ -91,18 +91,14 @@ def test_criterion_02_component_count_desk_instances(zoo_reports):
 
 
 def test_criterion_03_f_injectivity_classifications(zoo_rings, zoo_reports):
-    """Coordinate lines F-injective; the cusp is not, with witness b;
-    polynomial rings are certified-trivial."""
+    """Coordinate lines and polynomial rings F-injective; the cusp is not,
+    with witness b; every classification is certified."""
     for name, report in zoo_reports.items():
         value, status = report.f_injective
-        if name.startswith("poly1"):
-            assert (value, status) == (True, "certified-trivial"), name
-        elif name.startswith("cusp"):
-            assert value is False, name
-        else:
-            assert value is True, name
+        assert status == "certified", name
+        assert value == (not name.startswith("cusp")), name
     cusp = zoo_rings["cusp_p2"]
-    witness = f_injectivity_witness(cusp, CFG)
+    witness = f_injectivity_witness(cusp)
     assert str(witness) == "b"
     stored = Ideal.parse(cusp.ring, ["a", "b^2 - a^3"])
     assert not stored.contains(witness)

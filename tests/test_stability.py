@@ -4,17 +4,18 @@
 import io
 import json
 import os
+import sys
 from collections import Counter
 
 import pytest
 
 import frobstab.frobenius as frobenius
-import frobstab.localcoh as localcoh
 import frobstab.stability as stability
 from frobstab.cli import main, zoo_row
 from frobstab.config import RunConfig
 from frobstab.errors import InputError, NotSupportedError
 from frobstab.field import PrimeField
+from frobstab.frobenius import bracket_power, is_frobenius_closed
 from frobstab.groebner import Ideal
 from frobstab.localcoh import CohomologyClass, GradedRing
 from frobstab.poly import PolyRing
@@ -151,11 +152,10 @@ def test_f_ann_rejects_zero_class(lines2):
 def test_f_injective_classifications(lines2, lines3, poly1, cusp):
     for R in (lines2, lines3, poly1, cusp):
         R.check_cm()
-    assert is_f_injective_cm(lines2) == (True, "stabilized-heuristic")
-    assert is_f_injective_cm(lines3)[0] is True
-    assert is_f_injective_cm(poly1) == (True, "certified-trivial")
-    verdict, status = is_f_injective_cm(cusp)
-    assert verdict is False and status == "stabilized-heuristic"
+    assert is_f_injective_cm(lines2) == (True, "certified")
+    assert is_f_injective_cm(lines3) == (True, "certified")
+    assert is_f_injective_cm(poly1) == (True, "certified")
+    assert is_f_injective_cm(cusp) == (False, "certified")
 
 
 def test_f_injectivity_witness_for_cusp(cusp):
@@ -168,6 +168,19 @@ def test_f_injectivity_witness_for_cusp(cusp):
     assert not stored.contains(w)
     B = Ideal.parse(cusp.ring, ["a^2", "b^2 - a^3"])
     assert B.contains(w * w)
+
+
+def _cubic(p, order):
+    return make(p, order, (1, 1, 1), ["x^3 + y^3 + z^3"], ["x", "y"])
+
+
+@pytest.mark.parametrize("order", [("z", "x", "y"), ("x", "y", "z")])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_f_injectivity_matches_fedder_on_the_cubic(p, order):
+    # Fedder: the Fermat cubic is F-injective (F-pure) iff p = 1 mod 3
+    R = _cubic(p, order)
+    R.check_cm()
+    assert is_f_injective_cm(R) == (p % 3 == 1, "certified")
 
 
 def test_f_injective_requires_cm():
@@ -247,6 +260,37 @@ PARITY_EXTRA = {
         2, ("a", "b", "c"), (2, 3, 1), ["a*c", "b*c", "b^2 - a^3"], ["a + c^2"]
     ),
 }
+
+
+ZOO_NAMES = sorted(f[:-5] for f in os.listdir(ZOO) if f.endswith(".json") and "_p" in f)
+CUBICS = {
+    f"cubic_{''.join(order)}_p{p}": (p, order)
+    for order in (("z", "x", "y"), ("x", "y", "z"))
+    for p in (2, 3, 5, 7)
+}
+
+
+def _parity_ring(name):
+    if name in CUBICS:
+        return _cubic(*CUBICS[name])
+    return make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
+
+
+@pytest.mark.parametrize("name", sorted(set(ZOO_NAMES) | set(PARITY_EXTRA) | set(CUBICS)))
+def test_f_injectivity_matches_closure_test(name):
+    graded = _parity_ring(name)
+    graded.check_cm()
+    ring, relations = graded.ring, graded.relations
+    sop_ideal = Ideal(ring, graded.sop)
+    verdict, _status = is_f_injective_cm(graded)
+    assert verdict == is_frobenius_closed(sop_ideal, relations=relations)[0]
+    w = f_injectivity_witness(graded)
+    assert (w is None) == verdict
+    if w is not None:
+        I1 = graded.truncation_ideal(1)
+        assert all(I1.contains(x * w) for x in ring.gens())  # in socle(R/I_1)
+        assert not I1.contains(w)
+        assert bracket_power(sop_ideal, 1, relations).contains(w.frobenius(1))
 
 
 @pytest.mark.parametrize("name", PARITY_ZOO + sorted(PARITY_EXTRA))
@@ -414,7 +458,8 @@ def test_zoo_row_runs_each_phase_once(monkeypatch):
 
 def _count_closures(monkeypatch):
     """Counts of `frobenius_closure` calls keyed by the closed ideal's
-    generators, wherever the ring memo or the frobenius module calls it."""
+    generators, through the frobenius module or any frobstab module that
+    imported it by name."""
     calls = Counter()
     original = frobenius.frobenius_closure
 
@@ -422,24 +467,26 @@ def _count_closures(monkeypatch):
         calls[tuple(str(g) for g in I.gens)] += 1
         return original(I, *args, **kwargs)
 
-    monkeypatch.setattr(localcoh, "frobenius_closure", wrapper)
-    monkeypatch.setattr(frobenius, "frobenius_closure", wrapper)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frobstab") and getattr(module, "frobenius_closure", None) is original:
+            monkeypatch.setattr(module, "frobenius_closure", wrapper)
     return calls
 
 
-def test_zoo_row_closes_each_parameter_ideal_once(monkeypatch):
+@pytest.mark.parametrize("name", ["lines3_p3", "cusp_line_p2"])
+def test_zoo_row_computes_no_frobenius_closure(monkeypatch, name):
     calls = _count_closures(monkeypatch)
-    graded = _zoo_ring("lines3_p3")
-    cfg = RunConfig()
-    zoo_row(graded, cfg)
-    levels = range(1, cfg.socle_t_max + 1)
-    assert calls == {tuple(str(x**t) for x in graded.sop): 1 for t in levels}
+    graded = _parity_ring(name)
+    row = zoo_row(graded, RunConfig())
+    assert row["f_injective"] is (name == "lines3_p3")
+    assert row["f_injective_status"] == "certified"
+    assert calls == {}
 
 
-def test_ring_check_closes_the_parameter_ideal_once(monkeypatch):
+def test_ring_check_computes_no_frobenius_closure(monkeypatch):
     calls = _count_closures(monkeypatch)
     out = io.StringIO()
     argv = ["ring-check", "--ring", os.path.join(ZOO, "cusp_p2.json"), "--json"]
     assert main(argv, out=out) == 0
     assert json.loads(out.getvalue())["f_injective"]["witness"] == "b"
-    assert calls == {("a",): 1}
+    assert calls == {}
