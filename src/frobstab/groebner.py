@@ -10,12 +10,19 @@ the monomial order first) with the coprimality and chain criteria.  It
 is deterministic, and the reduced basis it returns is the unique one for
 the ring's order, so ideal equality is a string comparison of canonical
 forms.  Resource caps fail loudly instead of degrading the answer.
+
+Staircases (the standard monomials, whole or in one weighted degree) are
+grown from the order ideal by a depth-first walk over exponent prefixes
+that stops at the first prefix a lead divides, so their cost is about
+nvars times the number of standard prefixes, never the number of
+monomials of the degree; they need no cap.
 """
 
 import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import _kernel
 from .errors import InputError, NotSupportedError, ResourceLimitError
@@ -260,7 +267,9 @@ class StaircaseBasis:
     def __len__(self):
         return len(self.monomials)
 
+    @cached_property
     def index(self):
+        """Position of each monomial, built once per basis."""
         return {m: i for i, m in enumerate(self.monomials)}
 
 
@@ -417,26 +426,33 @@ class Ideal:
         return True
 
     def staircase(self, weights=None, degree=None):
+        """Standard monomials of the quotient, ascending in the order.
+
+        With degree=None, the whole staircase of an Artinian quotient;
+        otherwise the standard monomials of weighted degree `degree`
+        (weights positive, default 1), which is finite for any quotient.
+        They are grown by a depth-first walk over exponent prefixes (see
+        `_standard_monomials`), so the work is about nvars times the number
+        of standard prefixes, not the number of monomials of the degree.
+        """
         lts = self.leading_monomials()
         if lts and not any(lts[0]):
             return StaircaseBasis(self.ring, ())  # unit ideal
         n = self.ring.nvars
+        ends = _leads_by_end(lts, n)
         if degree is None:
-            bounds = []
             for i in range(n):
-                pure = [e[i] for e in lts if all(e[j] == 0 for j in range(n) if j != i) and e[i] > 0]
-                if not pure:
+                # a pure power of x_i is a lead ending at x_i with nothing before
+                if not any(not any(head) for heads in ends[i].values() for head in heads):
                     raise NotSupportedError(
                         "quotient not finite-dimensional: no pure power of "
                         f"{self.ring.names[i]} in the leading-term ideal"
                     )
-                bounds.append(min(pure))
-            monos = _box_monomials(bounds)
         else:
-            if weights is None:
-                weights = (1,) * n
-            monos = _weighted_monomials(n, weights, degree)
-        out = [m for m in monos if not any(mono_divides(l, m) for l in lts)]
+            weights = (1,) * n if weights is None else tuple(weights)
+            if any(w < 1 for w in weights):
+                raise InputError("staircase weights must be positive")
+        out = _standard_monomials(ends, weights, degree)
         out.sort(key=self.ring.key)
         return StaircaseBasis(self.ring, tuple(out))
 
@@ -446,7 +462,7 @@ class Ideal:
         Raises when the normal form leaves the basis span, which for the
         graded pieces signals a stabilization failure upstream.
         """
-        idx = stair.index()
+        idx = stair.index
         r = self.normal_form(f)
         coords = [0] * len(stair.monomials)
         for c, e in r.terms:
@@ -456,26 +472,63 @@ class Ideal:
         return tuple(coords)
 
 
-def _box_monomials(bounds):
-    out = [()]
-    for b in bounds:
-        out = [m + (i,) for m in out for i in range(b)]
-    return out
+def _leads_by_end(lts, n):
+    """For each variable x_i, the leads whose last nonzero exponent is at
+    x_i, as {exponent of x_i: [exponents before x_i]}."""
+    ends = [{} for _ in range(n)]
+    for lead in lts:
+        i = max(j for j in range(n) if lead[j])
+        ends[i].setdefault(lead[i], []).append(lead[:i])
+    return ends
 
 
-def _weighted_monomials(n, weights, degree):
+def _standard_monomials(ends, weights, degree):
+    """Monomials no lead divides, unsorted: all of them when degree is None
+    (the caller has checked that a pure power of each variable is a lead),
+    else those of weighted degree `degree`.
+
+    A depth-first walk sets x_0, x_1, ... in turn and raises each exponent
+    from 0 until a lead divides the prefix; standard monomials are closed
+    under division, so nothing above that prefix is standard.  Setting x_i
+    to e tests only the leads that end at x_i with exponent e: every other
+    lead was tested on a shorter prefix or cannot divide a monomial that is
+    zero after x_i.  In the graded case the weight left fixes the last
+    exponent.  The work is about n times the number of standard prefixes.
+    """
+    n = len(ends)
+    graded = degree is not None
+    if graded and degree < 0:
+        return []
+    if n == 0:
+        return [()] if not degree else []
     out = []
+    prefix = [0] * n
 
-    def rec(prefix, remaining, i):
-        if i == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
+    def divides(heads):
+        return any(all(a <= b for a, b in zip(head, prefix)) for head in heads)
+
+    def walk(i, remaining):
+        leads = ends[i]
+        if graded and i == n - 1:
+            e, rest = divmod(remaining, weights[i])
+            if not rest and not any(f <= e and divides(heads) for f, heads in leads.items()):
+                out.append(tuple(prefix[:i]) + (e,))
             return
-        w = weights[i]
-        for e in range(remaining // w + 1):
-            rec(prefix + [e], remaining - w * e, i + 1)
+        step = weights[i] if graded else 0
+        e = 0
+        while not graded or e * step <= remaining:
+            heads = leads.get(e)
+            if heads and divides(heads):
+                break
+            prefix[i] = e
+            if i + 1 < n:
+                walk(i + 1, remaining - e * step)
+            else:
+                out.append(tuple(prefix))
+            e += 1
+        prefix[i] = 0
 
-    rec([], degree, 0)
+    walk(0, degree or 0)
     return out
 
 

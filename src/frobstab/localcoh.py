@@ -226,7 +226,13 @@ class GradedRing:
                 "degree-zero piece changed dimension between levels t and p*t; "
                 "stabilization window too small"
             )
-        shift = self.sop_product() ** ((self.p - 1) * t)
+        # shift = (x_1...x_d)^((p-1)t), one parameter at a time, reduced
+        # modulo I_pt after each product so that nothing is expanded in the
+        # polynomial ring; NF(b*NF(s)) = NF(b*s) keeps the coordinates
+        shift = self.ring.one()
+        for _ in range((self.p - 1) * t):
+            for x in self.sop:
+                shift = I_pt.normal_form(shift * x)
         lifted = []
         images = []
         for mono in piece.basis:
@@ -251,7 +257,6 @@ class GradedRing:
 def _transition_injective(graded, prev_stair, I_next, next_stair, xprod):
     if not prev_stair.monomials:
         return True
-    idx = next_stair.index()
     m_next = len(next_stair.monomials)
     cols = []
     for mono in prev_stair.monomials:

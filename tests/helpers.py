@@ -12,7 +12,7 @@ from frobstab.field import PrimeField
 from frobstab.frobenius import frobenius_closure
 from frobstab.groebner import Ideal
 from frobstab.linalg import rref, in_row_space
-from frobstab.poly import PolyRing
+from frobstab.poly import PolyRing, mono_divides
 from frobstab.stability import CHAIN_STABILIZED, frobenius_colon_chain
 
 
@@ -83,6 +83,26 @@ class MacaulayOracle:
         for c, e in f.terms:
             vec[self.col_index[e]] = c
         return in_row_space(self.rref_rows, self.pivots, vec, self.ring.field)
+
+
+def staircase_oracle(ideal, weights=None, degree=None):
+    """Ideal.staircase by enumerate-and-filter: list every monomial of the
+    box under the pure powers (degree=None) or of the weighted degree, drop
+    those a lead divides, sort by the ring's order."""
+    ring = ideal.ring
+    n = ring.nvars
+    lts = ideal.leading_monomials()
+    if not all(any(lead) for lead in lts):
+        return ()  # unit ideal
+    if degree is None:
+        bounds = [min(e[i] for e in lts if e[i] and sum(e) == e[i]) for i in range(n)]
+        monos = itertools.product(*(range(b) for b in bounds))
+    else:
+        weights = weights or (1,) * n
+        box = itertools.product(*(range(degree // w + 1) for w in weights))
+        monos = (e for e in box if sum(w * x for w, x in zip(weights, e)) == degree)
+    out = [m for m in monos if not any(mono_divides(lead, m) for lead in lts)]
+    return tuple(sorted(out, key=ring.key))
 
 
 def small_ring(p=2, names=("a", "b")):

@@ -1,9 +1,13 @@
 # Buchberger engine: reduced bases, normal forms, colon/intersection/
 # elimination, radical membership, staircases, socles, caching.
 
-import pytest
+import signal
+from contextlib import contextmanager
 
-from frobstab.errors import NotSupportedError, ResourceLimitError
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from frobstab.errors import InputError, NotSupportedError, ResourceLimitError
 from frobstab.field import PrimeField
 from frobstab.groebner import (
     Ideal,
@@ -13,7 +17,7 @@ from frobstab.groebner import (
 )
 from frobstab.poly import PolyRing, mono_divides
 
-from helpers import MacaulayOracle, random_poly, seeded
+from helpers import MacaulayOracle, random_poly, seeded, staircase_oracle
 
 
 def ring(p=2, names=("a", "b")):
@@ -280,6 +284,83 @@ def test_staircase_degree_zero():
 def test_staircase_infinite_quotient_rejected():
     with pytest.raises(NotSupportedError):
         ideal(["a"]).staircase()
+
+
+@st.composite
+def staircase_cases(draw):
+    """(ideal, weights, degree): a random polynomial ideal in 1-3 variables,
+    made Artinian by pure powers half the time; Artinian ideals may ask
+    for the whole staircase (degree None), every ideal for a slice of
+    weighted degree 0-9 with weights 1-3."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    R = ring(p, ("a", "b", "c")[:n])
+    monomial = st.tuples(*[st.integers(0, 3)] * n)
+    polys = st.lists(st.dictionaries(monomial, st.integers(1, p - 1), max_size=3), max_size=3)
+    gens = [R.from_dict(terms) for terms in draw(polys)]
+    artinian = draw(st.booleans())
+    if artinian:
+        powers = draw(st.tuples(*[st.integers(1, 4)] * n))
+        gens += [R.monomial(tuple(k if j == i else 0 for j in range(n))) for i, k in enumerate(powers)]
+    I = Ideal(R, gens)
+    if artinian and draw(st.booleans()):
+        return I, None, None
+    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
+    return I, weights, draw(st.integers(0, 9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_cases())
+@example((ideal(["a"]), (1, 1), 3))  # graded slice of a non-Artinian quotient
+@example((ideal(["a"]), (1, 1), 0))
+@example((ideal(["a*b^2", "b^3"]), (2, 3), 12))
+@example((ideal(["a^2", "a*b", "b^3"]), None, None))
+@example((ideal(["1"]), (1, 1), 0))
+def test_staircase_matches_enumerate_and_filter(case):
+    I, weights, degree = case
+    got = I.staircase(weights, degree).monomials
+    assert got == staircase_oracle(I, weights, degree)
+
+
+@contextmanager
+def _within(seconds):
+    # a staircase whose work grew with the monomials of the degree would
+    # list and hold hundreds of millions of tuples; stop it early instead
+    def give_up(_signum, _frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_staircase_work_is_bounded_by_the_staircase():
+    # degree 60 in 8 variables has C(67, 7) ~ 8.7e8 monomials, none of
+    # them outside the squares; the walk sees at most 2^8 prefixes
+    R = ring(2, tuple("abcdefgh"))
+    I = Ideal(R, [x * x for x in R.gens()])
+    with _within(2.0):
+        assert I.staircase(weights=(1,) * 8, degree=60).monomials == ()
+        assert len(I.staircase(weights=(1,) * 8, degree=4)) == 70
+
+
+def test_staircase_six_variable_slice_matches_enumerate_and_filter():
+    # the octahedron's I_3 at p = 3 in the degree-zero slice 3*3
+    R = ring(3, tuple("abcdef"))
+    I = Ideal.parse(R, ["a*b", "c*d", "e*f", "(a+b)^3", "(c+d)^3", "(e+f)^3"])
+    got = I.staircase(weights=(1,) * 6, degree=9).monomials
+    assert got and got == staircase_oracle(I, (1,) * 6, 9)
+    weights = (1, 2, 1, 2, 1, 2)
+    assert I.staircase(weights, 12).monomials == staircase_oracle(I, weights, 12)
+
+
+def test_staircase_rejects_nonpositive_weights():
+    with pytest.raises(InputError):
+        ideal(["a^2", "b^2"]).staircase(weights=(1, 0), degree=3)
 
 
 # --- socles ---------------------------------------------------------------------

@@ -37,6 +37,7 @@ from frobstab.stability import (
 from helpers import brute_force_socle_candidates, seeded
 
 ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def make(p, names, degrees, relations, sop, primes=None):
@@ -360,6 +361,23 @@ def test_f_stability_p3_lines3():
     )
     report = f_stability(R)
     assert report.agreement and report.certified_verdict and report.stable_dim == 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_octahedron_matches_reisner_and_hochster(p):
+    # F_p[a..f]/(ab, cd, ef) is the Stanley-Reisner ring of the octahedron
+    # boundary, a 2-sphere, with the colour-class lsop a+b, c+d, e+f.
+    # Reisner: a sphere is CM.  Stanley-Reisner rings are F-pure, hence
+    # F-injective.  Hochster: stable_dim = dim H~^2(S^2; F_p) = 1.
+    with open(os.path.join(DATA, "octahedron_p5.json")) as fh:
+        data = dict(json.load(fh), char=p, name=f"octahedron_p{p}")
+    graded = GradedRing.from_dict(data)
+    assert graded.check_cm() == ("verified", None)
+    report = f_stability(graded)
+    assert report.f_injective == (True, "certified")
+    assert report.certified_verdict and report.certified_status == "certified"
+    assert report.stable_dim == 1
+    assert report.agreement
 
 
 def test_stability_report_json_schema(lines2):
