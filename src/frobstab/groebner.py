@@ -6,8 +6,13 @@ bases, normal forms, colon ideals, intersections, elimination, radical
 membership, staircase bases and socles.
 
 The Buchberger loop uses the normal selection strategy (smallest lcm in
-the monomial order first) with the coprimality and chain criteria.  It
-is deterministic, and the reduced basis it returns is the unique one for
+the monomial order first) and the Gebauer-Moeller update (Gebauer and
+Moeller 1988, in the form of Becker and Weispfenning's UPDATE): when an
+element joins the basis, criterion B drops the old pairs it makes
+redundant, criteria M and F and the product criterion filter its new
+pairs, and elements whose leads its lead divides are no longer paired.
+Each element's lead and each pair's lcm are computed once.  The loop is
+deterministic, and the reduced basis it returns is the unique one for
 the ring's order, so ideal equality is a string comparison of canonical
 forms.  Resource caps fail loudly instead of degrading the answer.
 
@@ -34,7 +39,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_PAIR_CAP = 100_000
@@ -120,8 +124,7 @@ def _disk_store(ring, gb, key):
 # --- Buchberger ---------------------------------------------------------------
 
 
-def _spoly(f, g, ring):
-    lcm = mono_lcm(f.lm(), g.lm())
+def _spoly(f, g, lcm):
     return f.shift(1, mono_div(lcm, f.lm())) - g.shift(1, mono_div(lcm, g.lm()))
 
 
@@ -168,34 +171,32 @@ def _buchberger(ring, gens, pair_cap, degree_cap):
     # large inputs such as bracket powers
     eff_cap = max(degree_cap, 2 * max(g.degree() for g in G) + 4)
     # normal selection strategy: smallest lcm in the order first, with the
-    # pair index as a deterministic tie-break; keys are computed once
-    pairs = set()
+    # pair index as a deterministic tie-break; keys are computed once.
+    # `pairs` maps each live pair to its lcm, and a heap entry whose pair
+    # an update has dropped is skipped when popped
+    gb_terms = [g.terms for g in G]
+    leads = [g.lm() for g in G]
+    active = []
+    pairs = {}
     heap = []
 
-    def push(i, j):
-        pairs.add((i, j))
-        heapq.heappush(heap, (ring.key(mono_lcm(G[i].lm(), G[j].lm())), i, j))
+    def join(t):
+        for k, lcm in _update(leads, active, pairs, t):
+            pairs[k, t] = lcm
+            heapq.heappush(heap, (ring.key(lcm), k, t))
 
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            push(i, j)
+    for t in range(len(G)):
+        join(t)
     processed = 0
-    gb_terms = [g.terms for g in G]
     while pairs:
         _key, i, j = heapq.heappop(heap)
-        if (i, j) not in pairs:
+        lcm = pairs.pop((i, j), None)
+        if lcm is None:
             continue
-        pairs.discard((i, j))
         processed += 1
         if processed > pair_cap:
             raise _limit_error(f"S-pair cap {pair_cap} exceeded", ring, gens)
-        lmi, lmj = G[i].lm(), G[j].lm()
-        lcm = mono_lcm(lmi, lmj)
-        if lcm == mono_mul(lmi, lmj):
-            continue  # coprime leading terms
-        if _chain_skip(G, pairs, i, j, lcm):
-            continue
-        s = _spoly(G[i], G[j], ring)
+        s = _spoly(G[i], G[j], lcm)
         if s.degree() > eff_cap:
             raise _limit_error(
                 f"S-polynomial degree {s.degree()} exceeds cap {eff_cap}", ring, gens
@@ -209,10 +210,47 @@ def _buchberger(ring, gens, pair_cap, degree_cap):
             )
         G.append(r.monic())
         gb_terms.append(G[-1].terms)
-        t = len(G) - 1
-        for k in range(t):
-            push(k, t)
+        leads.append(G[-1].lm())
+        join(len(G) - 1)
     return _reduce_basis(G, ring)
+
+
+def _update(leads, active, pairs, t):
+    """Gebauer-Moeller update (Becker-Weispfenning's UPDATE) for the new
+    element t: drops the live pairs that criterion B makes redundant,
+    returns the new pairs (k, t) with their lcms, and stops pairing the
+    `active` elements whose leads t's lead divides.
+
+    Of the candidates (k, t) for active k, one pair is kept per lcm that no
+    other candidate's lcm properly divides (criteria M and F), a coprime
+    one when that lcm has one; the product criterion then drops the coprime
+    ones.  A proper divisor has smaller total degree, so in ascending
+    degree every minimal lcm comes before its multiples.
+    """
+    lt = leads[t]
+    for (i, j), lcm in list(pairs.items()):
+        if (
+            mono_divides(lt, lcm)
+            and mono_lcm(leads[i], lt) != lcm
+            and mono_lcm(leads[j], lt) != lcm
+        ):
+            del pairs[i, j]
+    classes = {}
+    degree = sum(lt)
+    for k in active:
+        lcm = mono_lcm(leads[k], lt)
+        # the lcm divides the product, so they are equal when degrees agree
+        coprime = sum(lcm) == sum(leads[k]) + degree
+        if coprime or lcm not in classes:
+            classes[lcm] = (k, coprime)
+    minimal = []
+    for lcm in sorted(classes, key=sum):
+        if not any(mono_divides(m, lcm) for m in minimal):
+            minimal.append(lcm)
+    new = [(classes[lcm][0], lcm) for lcm in minimal if not classes[lcm][1]]
+    active[:] = [k for k in active if not mono_divides(lt, leads[k])]
+    active.append(t)
+    return new
 
 
 def _limit_error(message, ring, gens):
@@ -221,19 +259,6 @@ def _limit_error(message, ring, gens):
         f"{message} in F_{ring.p}[{', '.join(ring.names)}] "
         f"on {len(gens)} generators of top degree {top}"
     )
-
-
-def _chain_skip(G, pairs, i, j, lcm):
-    for k in range(len(G)):
-        if k in (i, j):
-            continue
-        if not mono_divides(G[k].lm(), lcm):
-            continue
-        a = (min(i, k), max(i, k))
-        b = (min(j, k), max(j, k))
-        if a not in pairs and b not in pairs:
-            return True
-    return False
 
 
 def _reduce_basis(G, ring):
@@ -306,6 +331,13 @@ class Ideal:
     # --- groebner basis -------------------------------------------------------
 
     def groebner_basis(self, pair_cap=DEFAULT_PAIR_CAP, degree_cap=DEFAULT_DEGREE_CAP):
+        """The reduced Groebner basis, ascending by lead, cached.
+
+        `pair_cap` bounds the S-pairs that survive the Gebauer-Moeller
+        criteria, that is the S-polynomials actually reduced; `degree_cap`
+        bounds their degrees (raised to fit bracket-power inputs).  Either
+        cap raises ResourceLimitError instead of returning a partial basis.
+        """
         if self._gb is not None:
             return self._gb
         if not self.gens:
@@ -554,11 +586,15 @@ def _shifted_positions(ring, shift):
 def socle_basis(ideal, maximal_ideal_gens=None):
     """Representatives of a basis of (I : m)/I for an Artinian quotient.
 
-    The socle is computed as the kernel of multiplication by the maximal
-    ideal in staircase coordinates; representatives come back in normal
-    form, canonically ordered.
+    The socle is the kernel of multiplication by the maximal ideal in
+    staircase coordinates.  Each staircase monomial m gives one sparse
+    column, keyed by (generator, standard monomial): a product x_j*m that
+    is standard is its own coordinate, and only the others are reduced
+    to normal form.  Rows that no column touches are never built, and the
+    kernel comes from a canonical RREF; representatives come back in
+    normal form, canonically ordered.
     """
-    from .linalg import kernel
+    from .linalg import kernel, rows_from_columns
 
     ring = ideal.ring
     if maximal_ideal_gens is None:
@@ -568,13 +604,20 @@ def socle_basis(ideal, maximal_ideal_gens=None):
     stair = ideal.staircase()
     if not stair.monomials:
         return []
-    ncols = len(stair.monomials)
-    rows = []
-    for v in maximal_ideal_gens:
-        cols = [ideal.coordinates(v * ring.monomial(m), stair) for m in stair.monomials]
-        for r in range(ncols):
-            rows.append([cols[c][r] for c in range(ncols)])
-    basis = kernel(rows, ring.field, ncols=ncols)
+    idx = stair.index
+    columns = []
+    for m in stair.monomials:
+        col = {}
+        for j, v in enumerate(maximal_ideal_gens):
+            product = v * ring.monomial(m)
+            if len(product.terms) == 1 and product.lm() in idx:
+                col[j, product.lm()] = product.lc()
+                continue
+            for c, e in ideal.normal_form(product).terms:
+                col[j, e] = c
+        columns.append(col)
+    rows = rows_from_columns(columns, ring.field)
+    basis = kernel(rows, ring.field, ncols=len(columns))
     out = []
     for vec in basis:
         terms = {m: c for m, c in zip(stair.monomials, vec) if c}

@@ -1,8 +1,9 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the library's fast paths: naive dict arithmetic
-instead of the term kernels, and a dense Macaulay-matrix membership test
-instead of Groebner normal forms.
+instead of the term kernels, a dense Macaulay-matrix membership test
+instead of Groebner normal forms, Buchberger's algorithm without any pair
+criterion, and a dense socle matrix.
 """
 
 import itertools
@@ -11,8 +12,8 @@ import random
 from frobstab.field import PrimeField
 from frobstab.frobenius import frobenius_closure
 from frobstab.groebner import Ideal
-from frobstab.linalg import rref, in_row_space
-from frobstab.poly import PolyRing, mono_divides
+from frobstab.linalg import in_row_space, kernel, rref
+from frobstab.poly import PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
 from frobstab.stability import CHAIN_STABILIZED, frobenius_colon_chain
 
 
@@ -103,6 +104,84 @@ def staircase_oracle(ideal, weights=None, degree=None):
         monos = (e for e in box if sum(w * x for w, x in zip(weights, e)) == degree)
     out = [m for m in monos if not any(mono_divides(lead, m) for lead in lts)]
     return tuple(sorted(out, key=ring.key))
+
+
+def buchberger_oracle(ideal):
+    """Canonical strings of the reduced Groebner basis from Buchberger's
+    algorithm with no pair criterion: every pair's S-polynomial is reduced,
+    smallest lcm first, by naive dict arithmetic."""
+    ring = ideal.ring
+    p = ring.p
+
+    def lead(f):
+        return max(f, key=ring.key)
+
+    def monic(f):
+        inv = pow(f[lead(f)], p - 2, p)
+        return {e: c * inv % p for e, c in f.items()}
+
+    def add_multiple(acc, f, coeff, shift):
+        for e, c in f.items():
+            e = mono_mul(e, shift)
+            v = (acc.get(e, 0) + coeff * c) % p
+            if v:
+                acc[e] = v
+            else:
+                acc.pop(e, None)
+
+    def reduce(f, basis):
+        f, rest = dict(f), {}
+        while f:
+            m = lead(f)
+            g = next((g for g in basis if mono_divides(lead(g), m)), None)
+            if g is None:
+                rest[m] = f.pop(m)
+            else:
+                add_multiple(f, g, -f[m], mono_div(m, lead(g)))
+        return rest
+
+    def pair_lcm(pair):
+        return mono_lcm(lead(G[pair[0]]), lead(G[pair[1]]))
+
+    G = [monic({e: c for c, e in g.terms}) for g in ideal.gens]
+    pending = [(i, j) for j in range(len(G)) for i in range(j)]
+    while pending:
+        i, j = min(pending, key=lambda pair: ring.key(pair_lcm(pair)))
+        pending.remove((i, j))
+        lcm = pair_lcm((i, j))
+        s = {}
+        add_multiple(s, G[i], 1, mono_div(lcm, lead(G[i])))
+        add_multiple(s, G[j], -1, mono_div(lcm, lead(G[j])))
+        r = reduce(s, G)
+        if r:
+            G.append(monic(r))
+            pending += [(k, len(G) - 1) for k in range(len(G) - 1)]
+    minimal = []
+    for g in sorted(G, key=lambda g: ring.key(lead(g))):
+        if not any(mono_divides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g)
+    reduced = [monic(reduce(g, [h for h in minimal if h is not g])) for g in minimal]
+    return [str(ring.from_dict(g)) for g in reduced]
+
+
+def dense_socle_oracle(ideal):
+    """socle_basis by one dense matrix: nvars blocks of dim rows, each the
+    staircase coordinates of x_j times every standard monomial, zero rows
+    included; its kernel gives the representatives."""
+    ring = ideal.ring
+    stair = ideal.staircase()
+    if not stair.monomials:
+        return []
+    ncols = len(stair.monomials)
+    rows = []
+    for v in ring.gens():
+        cols = [ideal.coordinates(v * ring.monomial(m), stair) for m in stair.monomials]
+        for r in range(ncols):
+            rows.append([cols[c][r] for c in range(ncols)])
+    out = []
+    for vec in kernel(rows, ring.field, ncols=ncols):
+        out.append(ring.from_dict({m: c for m, c in zip(stair.monomials, vec) if c}))
+    return out
 
 
 def small_ring(p=2, names=("a", "b")):

@@ -15,17 +15,24 @@ from frobstab.groebner import (
     set_cache_dir,
     socle_basis,
 )
-from frobstab.poly import PolyRing, mono_divides
+from frobstab.poly import GREVLEX, PolyRing, elim_order, mono_divides
 
-from helpers import MacaulayOracle, random_poly, seeded, staircase_oracle
+from helpers import (
+    MacaulayOracle,
+    buchberger_oracle,
+    dense_socle_oracle,
+    random_poly,
+    seeded,
+    staircase_oracle,
+)
 
 
-def ring(p=2, names=("a", "b")):
-    return PolyRing(PrimeField(p), names)
+def ring(p=2, names=("a", "b"), order=GREVLEX):
+    return PolyRing(PrimeField(p), names, order)
 
 
-def ideal(texts, p=2, names=("a", "b")):
-    R = ring(p, names)
+def ideal(texts, p=2, names=("a", "b"), order=GREVLEX):
+    R = ring(p, names, order)
     return Ideal.parse(R, texts)
 
 
@@ -89,6 +96,38 @@ def test_gb_is_reduced():
 
 
 # --- normal form and membership ---------------------------------------------------
+
+
+@st.composite
+def buchberger_cases(draw):
+    """A random ideal of 1-3 generators with 1-3 terms of total degree at
+    most 3, in 2-4 variables over F_2, F_3 or F_5, under grevlex or the
+    elimination order that intersect and colon use."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    R = ring(p, ("a", "b", "c", "d")[:n], draw(st.sampled_from([GREVLEX, elim_order(1)])))
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 3)
+    terms = st.dictionaries(monomial, st.integers(1, p - 1), min_size=1, max_size=3)
+    return Ideal(R, [R.from_dict(t) for t in draw(st.lists(terms, min_size=1, max_size=3))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(buchberger_cases())
+# criterion B may drop a pair (i, j) for a new element h only when neither
+# lcm(i, h) nor lcm(j, h) equals lcm(i, j); these two go wrong otherwise
+@example(ideal(["b*c^2", "a^2*c + b", "a*b^2 + b*c"], 2, ("a", "b", "c")))
+@example(ideal(["2*a*b^2", "2*b^2*c + b*c*d", "a^2*b + 2*a*c*d + c*d"], 3, ("a", "b", "c", "d"), elim_order(1)))
+def test_gb_matches_criterion_free_buchberger(I):
+    assert I.canonical_strings() == buchberger_oracle(I)
+
+
+def test_gb_pair_budget_on_a_bracket_power():
+    # the Fermat cubic's bracket power at q = 49 in order (x, y, z): the
+    # Gebauer-Moeller update reduces 108 S-pairs, while pair bookkeeping
+    # with only the coprime and chain tests reduces 1540 and hits the cap
+    R = ring(7, ("x", "y", "z"))
+    I = Ideal.parse(R, ["x^49", "y^49", "x^3 + y^3 + z^3"])
+    assert len(I.groebner_basis(pair_cap=200)) == 56
 
 
 def test_normal_form_example():
@@ -287,22 +326,30 @@ def test_staircase_infinite_quotient_rejected():
 
 
 @st.composite
-def staircase_cases(draw):
-    """(ideal, weights, degree): a random polynomial ideal in 1-3 variables,
-    made Artinian by pure powers half the time; Artinian ideals may ask
-    for the whole staircase (degree None), every ideal for a slice of
-    weighted degree 0-9 with weights 1-3."""
+def small_ideals(draw, artinian):
+    """A random polynomial ideal in 1-3 variables; with `artinian`, plus a
+    pure power of each variable."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 3))
     R = ring(p, ("a", "b", "c")[:n])
     monomial = st.tuples(*[st.integers(0, 3)] * n)
     polys = st.lists(st.dictionaries(monomial, st.integers(1, p - 1), max_size=3), max_size=3)
     gens = [R.from_dict(terms) for terms in draw(polys)]
-    artinian = draw(st.booleans())
     if artinian:
         powers = draw(st.tuples(*[st.integers(1, 4)] * n))
         gens += [R.monomial(tuple(k if j == i else 0 for j in range(n))) for i, k in enumerate(powers)]
-    I = Ideal(R, gens)
+    return Ideal(R, gens)
+
+
+@st.composite
+def staircase_cases(draw):
+    """(ideal, weights, degree): a random polynomial ideal in 1-3 variables,
+    made Artinian by pure powers half the time; Artinian ideals may ask
+    for the whole staircase (degree None), every ideal for a slice of
+    weighted degree 0-9 with weights 1-3."""
+    artinian = draw(st.booleans())
+    I = draw(small_ideals(artinian))
+    n = I.ring.nvars
     if artinian and draw(st.booleans()):
         return I, None, None
     weights = draw(st.tuples(*[st.integers(1, 3)] * n))
@@ -395,6 +442,20 @@ def test_socle_contract():
         for c, s in zip(coeffs, reps):
             combo = combo + s.scale(c)
         assert not I.contains(combo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(artinian=True))
+def test_socle_matches_dense_matrix(I):
+    assert socle_basis(I) == dense_socle_oracle(I)
+
+
+def test_socle_of_octahedron_truncation_matches_dense_matrix():
+    # the octahedron's I_3 at p = 3, a six-variable staircase
+    R = ring(3, tuple("abcdef"))
+    I = Ideal.parse(R, ["a*b", "c*d", "e*f", "(a+b)^3", "(c+d)^3", "(e+f)^3"])
+    got = socle_basis(I)
+    assert got and got == dense_socle_oracle(I)
 
 
 def test_socle_requires_artinian():
