@@ -18,6 +18,7 @@ print/parse round-trips stay inside the stricter grammar.
 """
 
 from dataclasses import dataclass
+from operator import mul
 
 from . import _kernel
 from .errors import ContextMismatchError, InputError, ParseError
@@ -125,6 +126,8 @@ class PolyRing:
         return self.field.p
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (
             isinstance(other, PolyRing)
             and other.field == self.field
@@ -139,7 +142,7 @@ class PolyRing:
         return f"F_{self.p}[{','.join(self.names)}; {self.order}]"
 
     def key(self, mono):
-        return tuple(sum(w[i] * mono[i] for i in range(self.nvars)) for w in self._wm)
+        return tuple(sum(map(mul, w, mono)) for w in self._wm)
 
     # --- constructors -------------------------------------------------------
 

@@ -216,6 +216,9 @@ def socle_stability_search(graded, cfg=None):
     for every variable x_j.  Over F_p that is linear in c, so the classes
     meeting it for e = 0..window form the kernel V_t of one stacked
     matrix of normal forms (the e = 0 rows vanish on a socle basis).
+    The columns reduce x_j * NF_{B_e}(r_i^q), and NF_{B_e}(r_i^q) comes
+    from the previous power as NF_{B_e}(NF_{B_(e-1)}(r_i^(q/p))^p), so no
+    reduction starts from r_i^q itself.
 
     Every basis vector of V_t is confirmed without colon chains.  Since m
     is maximal and lies in C_e, C_e = m unless C_e = (1), that is unless
@@ -265,16 +268,23 @@ def _combine(coeffs, polys, ring):
 def _socle_annihilated_by_m(I, relations, reps, window):
     """Kernel basis of c -> (x_j * (sum c_i r_i)^q mod I^[q] + K) over
     all variables x_j and q = p^e, e = 0..window, and for each e the
-    normal forms of r_i^q mod I^[q] + K."""
+    normal forms of r_i^q mod I^[q] + K.
+
+    Each power is carried forward from the last one: with B_e =
+    I^[q] + K, NF_{B_e}(r^q) = NF_{B_e}(NF_{B_(e-1)}(r^(q/p))^p).  This is
+    exact because r^(q/p) = NF + b with b in B_(e-1), Frobenius is
+    additive, and B_(e-1)^[p] lies in B_e (K^[p] lies in K); the normal
+    form modulo a reduced Groebner basis is unique.  So each reduction
+    starts from degree p * deg(NF), not from q * deg(r).
+    """
     ring = I.ring
     columns = [{} for _ in reps]
     powers = []
+    nfs = reps
     for e in range(window + 1):
         B = bracket_power(I, e, relations)
-        nfs = []
-        for col, rep in zip(columns, reps):
-            nf = B.normal_form(rep.frobenius(e))
-            nfs.append(nf)
+        nfs = [B.normal_form(nf.frobenius(1) if e else nf) for nf in nfs]
+        for col, nf in zip(columns, nfs):
             # x_j * (r^q - NF(r^q)) lies in B, so reducing x_j * NF(r^q) suffices
             for j, x in enumerate(ring.gens()):
                 for c, mono in B.normal_form(x * nf).terms:

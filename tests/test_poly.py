@@ -175,6 +175,28 @@ def test_orders_are_total_and_multiplicative():
                     assert (ka < kb) == (kac < kbc)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([LEX, GREVLEX, elim_order(1), elim_order(2)]),
+    st.lists(st.integers(0, 60), min_size=3, max_size=3),
+)
+def test_key_is_the_weight_matrix_dot_product(order, mono):
+    R = ring(p=5, names=("x", "y", "z"), order=order)
+    rows = order.weight_matrix(3)
+    mono = tuple(mono)
+    assert R.key(mono) == tuple(sum(w[i] * mono[i] for i in range(3)) for w in rows)
+
+
+def test_separately_built_rings_compare_equal():
+    R, S = ring(p=3), ring(p=3)
+    assert R is not S
+    assert R == S and hash(R) == hash(S)
+    assert R.parse("a") + S.parse("b") == R.parse("a + b")
+    assert R.parse("a*b") == S.parse("a*b")
+    with pytest.raises(ContextMismatchError):
+        R.parse("a") * ring(p=3, order=LEX).parse("a")
+
+
 def test_order_is_a_well_order_one_divides_everything():
     R = ring(p=2, names=("x", "y"))
     for mono in [(1, 0), (0, 1), (3, 2)]:

@@ -8,6 +8,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobstab.frobenius as frobenius
 import frobstab.stability as stability
@@ -34,7 +35,7 @@ from frobstab.stability import (
     socle_stability_search,
 )
 
-from helpers import brute_force_socle_candidates, seeded
+from helpers import brute_force_socle_candidates, random_poly, seeded
 
 ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -316,6 +317,63 @@ def test_socle_candidate_chains_match_colon_chains(name, window):
         params = [x**cand.level for x in graded.sop]
         real = frobenius_colon_chain(graded, params, cand.element, cfg)
         assert cand.chain.to_json() == real.to_json()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_both_routes_match_fedder_on_the_noether_order_cubic(p):
+    # Fedder: ordinary (F-pure, stable_dim 1) iff p = 1 mod 3
+    ordinary = p % 3 == 1
+    report = f_stability(_cubic(p, ("z", "x", "y")))
+    assert report.f_injective == (ordinary, "certified")
+    assert report.stable_dim == (1 if ordinary else 0)
+    assert report.socle.found() == ordinary
+    assert report.agreement is True
+
+
+RECURRENCE_RINGS = {
+    "cubic": (("z", "x", "y"), (1, 1, 1), ["x^3 + y^3 + z^3"], ["x", "y"]),
+    "cycle4": (("a", "b", "c", "d"), (1, 1, 1, 1), ["a*c", "b*d"], ["a + c", "b + d"]),
+    "cusp": (("a", "b"), (2, 3), ["b^2 - a^3"], ["a"]),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RECURRENCE_RINGS)),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 2),
+    st.integers(0, 10**6),
+)
+def test_frobenius_normal_forms_carry_forward(name, p, t, seed):
+    # NF_{B_e}(NF_{B_(e-1)}(f^(p^(e-1)))^p) = NF_{B_e}(f^(p^e)), B_e = I^[p^e] + K:
+    # the recurrence `_socle_annihilated_by_m` builds its powers by
+    graded = make(p, *RECURRENCE_RINGS[name])
+    I = Ideal(graded.ring, [x**t for x in graded.sop])
+    f = random_poly(graded.ring, seeded(seed))
+    for e in (1, 2):
+        prev = bracket_power(I, e - 1, graded.relations).normal_form(f.frobenius(e - 1))
+        B = bracket_power(I, e, graded.relations)
+        assert B.normal_form(prev.frobenius(1)) == B.normal_form(f.frobenius(e))
+
+
+def test_socle_route_reduces_no_full_frobenius_power(monkeypatch):
+    # each normal form starts from NF(r^(q/p))^p, whose z-degree is at most
+    # 2p since z^3 leads the relation, never from r^q with its z^(2q)
+    p = 43
+    graded = _cubic(p, ("z", "x", "y"))
+    graded.check_cm()
+    original = Ideal.normal_form
+    largest = []
+
+    def budgeted(self, f):
+        z = max((mono[0] for _c, mono in f.terms), default=0)
+        assert z <= 2 * p, f"normal form of a polynomial with z^{z}"
+        largest.append(z)
+        return original(self, f)
+
+    monkeypatch.setattr(Ideal, "normal_form", budgeted)
+    assert socle_stability_search(graded).found()
+    assert max(largest) == 2 * p
 
 
 def test_socle_search_needs_window_within_e_max():
