@@ -38,7 +38,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--emax", type=int, default=6, help="chain length budget")
     common.add_argument("--window", type=int, default=2, help="stabilization window")
-    common.add_argument("--tmax", type=int, default=8, help="truncation level budget")
     common.add_argument(
         "--socle-tmax", type=int, default=3, help="socle search level budget"
     )
@@ -83,7 +82,6 @@ def _config(args):
     cfg = RunConfig(
         e_max=args.emax,
         window=args.window,
-        t_max=args.tmax,
         socle_t_max=args.socle_tmax,
         json=args.json,
     )

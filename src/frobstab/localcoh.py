@@ -7,8 +7,9 @@ and move up the direct system by multiplication with x_1*...*x_d; the
 Frobenius action sends a level-t class to [z^p] at level p*t.
 
 Everything certified runs through two gates: the CM check (the sop is a
-verified regular sequence, which makes the transition maps injective)
-and the stabilization of the degree-zero graded piece.  The stable part
+verified regular sequence, which makes the transition maps injective and
+R free over F_p[x_1..x_d]) and the level T the a-invariant gives, from
+which on the degree-zero graded piece no longer grows.  The stable part
 of the graded module is concentrated in degree zero — a span of
 homogeneous Frobenius images is graded and a nonzero degree would need
 to be divisible by p^j for every j — so the finite degree-zero carrier
@@ -21,7 +22,7 @@ from .errors import InconsistencyError, InputError, NotSupportedError
 from .field import PrimeField
 from .groebner import Ideal, socle_basis
 from .linalg import rank, solve
-from .poly import GREVLEX, PolyRing
+from .poly import GREVLEX, PolyRing, mono_degree
 from .semilinear import SemilinearOperator
 
 CM_UNCHECKED = "unchecked"
@@ -157,65 +158,41 @@ class GradedRing:
 
     # --- the degree-zero carrier ------------------------------------------------------
 
-    def degree_zero_piece(self, t_max=8, window=2):
-        """Stabilized basis of the degree-zero graded piece of the limit.
+    def degree_zero_piece(self):
+        """Basis of the degree-zero graded piece of the limit, at level T.
 
-        Walks t = 1, 2, ...: the weighted-degree t*degsum staircase of the
-        truncation quotient, with the transition (multiply by x_1...x_d)
-        verified injective at every step.  Stops after `window`
-        consecutive levels with constant dimension and bijective
-        transitions, or flags stabilized=False at t_max.
+        The verified sop makes R free over F_p[x_1..x_d], so R/I_t is
+        R/I_1 tensored with F_p[x]/(x_1^t..x_d^t) as graded spaces, and
+        H^d_m(R) is R/I_1 tensored with the monomials x^-b, every b_i >= 1.
+        A degree-zero class pairs a standard monomial of weighted degree e
+        with sum b_i deg(x_i) = e, which forces (b_i - 1) deg(x_i) <= a(R)
+        = top degree of R/I_1 - sum deg(x_i).  Level t holds the classes
+        with every b_i <= t, so from T = max(1, 1 + a(R) // min deg(x_i))
+        on the transitions (multiply by x_1...x_d) are bijective in degree
+        zero: injective by the CM gate, and of equal dimension by the count.
         """
         if self.cm_status != CM_VERIFIED:
             raise NotSupportedError("degree_zero_piece requires a verified CM gate")
         degsum = self.degree_sum()
-        xprod = self.sop_product()
-        dims = []
-        prev = None
-        prev_ideal = None
-        stable_run = 0
-        stabilized = False
-        level = 0
-        basis = ()
-        for t in range(1, t_max + 1):
-            I_t = self.truncation_ideal(t)
-            stair = I_t.staircase(weights=self.degrees, degree=t * degsum)
-            dims.append(len(stair))
-            if prev is not None:
-                if len(stair) < dims[-2]:
-                    raise InconsistencyError(
-                        "degree-zero dimension dropped; transition cannot be injective"
-                    )
-                injective = _transition_injective(self, prev, I_t, stair, xprod)
-                if not injective:
-                    raise InconsistencyError(
-                        "CM-verified ring with a non-injective transition map"
-                    )
-                if len(stair) == dims[-2]:
-                    stable_run += 1
-                else:
-                    stable_run = 0
-            level, basis = t, stair.monomials
-            prev, prev_ideal = stair, I_t
-            if stable_run >= window:
-                stabilized = True
-                break
-        return DegreeZeroPiece(self, level, basis, tuple(dims), stabilized)
+        stair = self.truncation_ideal(1).staircase().monomials
+        # default=0: a unit relation leaves no standard monomial and T = 1
+        a = max((mono_degree(mono, self.degrees) for mono in stair), default=0) - degsum
+        level = max(1, 1 + a // min(self.sop_degrees()))
+        I_T = self.truncation_ideal(level)
+        basis = I_T.staircase(weights=self.degrees, degree=level * degsum).monomials
+        return DegreeZeroPiece(self, level, basis)
 
     def frobenius_matrix(self, piece):
         """Matrix of the Frobenius action on the degree-zero carrier.
 
         Column j holds the coordinates of F(basis_j), a level p*t class,
         in the level p*t basis obtained by lifting the carrier basis.
-        Any coordinate failure aborts: it means the stabilization window
-        lied, never that an approximation is acceptable.
+        Any dimension or coordinate failure aborts: it means the carrier
+        was taken below its stable level, never that an approximation is
+        acceptable.
         """
-        if not piece.stabilized:
-            raise NotSupportedError("unstabilized degree-zero piece")
         m = len(piece.basis)
         fp = self.ring.field
-        if m == 0:
-            return SemilinearOperator(fp, 0, (), twist=1)
         t = piece.level
         pt = self.p * t
         degsum = self.degree_sum()
@@ -224,8 +201,10 @@ class GradedRing:
         if len(stair_pt) != m:
             raise InconsistencyError(
                 "degree-zero piece changed dimension between levels t and p*t; "
-                "stabilization window too small"
+                "the carrier level is below the stable one"
             )
+        if m == 0:
+            return SemilinearOperator(fp, 0, (), twist=1)
         # shift = (x_1...x_d)^((p-1)t), one parameter at a time, reduced
         # modulo I_pt after each product so that nothing is expanded in the
         # polynomial ring; NF(b*NF(s)) = NF(b*s) keeps the coordinates
@@ -254,18 +233,6 @@ class GradedRing:
         return SemilinearOperator(fp, m, matrix, twist=1)
 
 
-def _transition_injective(graded, prev_stair, I_next, next_stair, xprod):
-    if not prev_stair.monomials:
-        return True
-    m_next = len(next_stair.monomials)
-    cols = []
-    for mono in prev_stair.monomials:
-        f = graded.ring.monomial(mono) * xprod
-        cols.append(I_next.coordinates(f, next_stair))
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(m_next)]
-    return rank(rows, graded.ring.field) == len(prev_stair.monomials)
-
-
 @dataclass
 class DegreeZeroPiece:
     """Finite carrier of the degree-zero part of the limit module."""
@@ -273,8 +240,6 @@ class DegreeZeroPiece:
     graded: GradedRing
     level: int
     basis: tuple
-    dims: tuple
-    stabilized: bool
 
     def __len__(self):
         return len(self.basis)

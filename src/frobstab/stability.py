@@ -8,8 +8,9 @@ linear on socle(R/I_1) over F_p, has full rank.
 Two independent routes decide F-stability of the top local cohomology
 module:
 
-* the certified route computes the Frobenius matrix on the stabilized
-  degree-zero carrier and takes the dimension of its stable part;
+* the certified route computes the Frobenius matrix on the degree-zero
+  carrier, taken at the level the a-invariant gives, and takes the
+  dimension of its stable part;
 * the socle route looks for a socle class of a truncation whose
   Frobenius annihilator chain stabilizes at the maximal ideal.  Over F_p
   the map u -> u^q is additive with fixed coefficients, so "m kills u^q
@@ -164,16 +165,14 @@ def _socle_frobenius_kernel(graded):
     return reps, kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
 
 
-def is_f_stable_certified(graded, cfg=None):
-    """(verdict, stable_dim, status) from the degree-zero carrier route."""
-    cfg = cfg or RunConfig()
+def is_f_stable_certified(graded):
+    """(verdict, stable_dim, "certified") from the degree-zero carrier
+    route; the carrier's level is exact, so no window or budget enters."""
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("the certified stability route requires the CM gate")
-    piece = graded.degree_zero_piece(cfg.t_max, cfg.window)
-    op = graded.frobenius_matrix(piece)
+    op = graded.frobenius_matrix(graded.degree_zero_piece())
     dim = op.stable_part().dim
-    status = "certified" if piece.stabilized else "heuristic"
-    return dim > 0, dim, status
+    return dim > 0, dim, "certified"
 
 
 @dataclass
@@ -323,28 +322,25 @@ class StabilityReport:
 def f_stability(graded, cfg=None):
     """Run both stability routes and enforce the agreement contract.
 
-    A certified stable part of zero together with a certified-grade
-    socle candidate (stabilized chain on an F-injective CM ring) is a
-    theorem violation and raises; a missing candidate under a positive
-    certified verdict only flags disagreement, because the search range
-    is finite.  On a one-dimensional ring with declared minimal primes
+    A certified stable part of zero together with a socle candidate on
+    an F-injective CM ring (every candidate's chain is stabilized by
+    construction) is a theorem violation and raises; a missing candidate
+    under a positive certified verdict only flags disagreement, because
+    the search range is finite.  On a one-dimensional ring with declared minimal primes
     the report also carries the component check, fed the certified
     stable dimension; each phase runs once per call.
     """
     cfg = cfg or RunConfig()
     graded.check_cm()
     finj = is_f_injective_cm(graded)
-    verdict, dim, status = is_f_stable_certified(graded, cfg)
+    verdict, dim, status = is_f_stable_certified(graded)
     socle = socle_stability_search(graded, cfg)
     agreement = verdict == socle.found()
-    if not agreement and status == "certified" and not verdict:
-        if finj[0] and any(
-            c.chain.status == CHAIN_STABILIZED for c in socle.candidates
-        ):
-            raise InconsistencyError(
-                f"{graded.name}: certified stable part is zero but a socle class "
-                "with annihilator m exists; the stability equivalence is violated"
-            )
+    if not verdict and finj[0] and socle.candidates:
+        raise InconsistencyError(
+            f"{graded.name}: certified stable part is zero but a socle class "
+            "with annihilator m exists; the stability equivalence is violated"
+        )
     components = None
     if graded.dim == 1 and graded.minimal_primes:
         components = connected_components_check(graded, dim)

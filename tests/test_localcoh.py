@@ -1,13 +1,18 @@
 # The truncation model of top local cohomology: CM gate, classes,
 # degree-zero carrier, Frobenius matrix.
 
+import json
+import os
+
 import pytest
 
-from frobstab.errors import InputError, NotSupportedError
+from frobstab.errors import InconsistencyError, InputError, NotSupportedError
 from frobstab.field import PrimeField
 from frobstab.localcoh import CM_FAILED, CM_VERIFIED, GradedRing
 
 from helpers import seeded
+
+ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
 
 
 def make(p, names, degrees, relations, sop):
@@ -202,18 +207,26 @@ def test_degree_zero_requires_cm_gate(lines2):
 
 
 def test_degree_zero_poly1_empty(poly1):
+    # a(F_2[a]) = -1 <= 0, so the carrier sits at level 1
     poly1.check_cm()
     piece = poly1.degree_zero_piece()
-    assert piece.stabilized and len(piece) == 0
-    assert all(d == 0 for d in piece.dims)
+    assert piece.level == 1 and len(piece) == 0
+
+
+def test_degree_zero_zero_ring_empty():
+    # a unit relation leaves R/I_1 without a standard monomial
+    zero = make(2, ("a",), (1,), ["1"], ["a"])
+    zero.check_cm()
+    piece = zero.degree_zero_piece()
+    assert piece.level == 1 and len(piece) == 0
+    assert zero.frobenius_matrix(piece).n == 0
 
 
 def test_degree_zero_two_lines(lines2):
     lines2.check_cm()
     piece = lines2.degree_zero_piece()
-    assert piece.stabilized
+    assert piece.level == 1
     assert len(piece) == 1
-    assert piece.dims == (1,) * len(piece.dims)
     # the basis class is the pure power b^t (a^t reduces to it)
     (mono,) = piece.basis
     assert mono == (0, piece.level)
@@ -222,13 +235,43 @@ def test_degree_zero_two_lines(lines2):
 def test_degree_zero_three_lines(lines3):
     lines3.check_cm()
     piece = lines3.degree_zero_piece()
-    assert piece.stabilized and len(piece) == 2
+    assert piece.level == 1 and len(piece) == 2
 
 
-def test_degree_zero_dims_nondecreasing_and_stable(lines3):
-    lines3.check_cm()
-    piece = lines3.degree_zero_piece()
-    assert list(piece.dims) == sorted(piece.dims)
+def _degree_zero_dims(ring, levels):
+    degsum = ring.degree_sum()
+    return [
+        len(ring.truncation_ideal(t).staircase(weights=ring.degrees, degree=t * degsum))
+        for t in levels
+    ]
+
+
+def test_degree_zero_level_is_where_dims_stop_growing(lines3):
+    # counted level by level, the degree-zero dimensions never drop, grow
+    # until the carrier's level and stay at its size from there on;
+    # w^2 = u^16 + 1 (z of degree 8) has a(R) = 6, so its carrier is at
+    # level 7 with the genus 7 of that curve as dimension
+    w16 = make(17, ("x", "y", "z"), (1, 1, 8), ["z^2 - x^16 - y^16"], ["x", "y"])
+    for ring in (lines3, w16):
+        ring.check_cm()
+        piece = ring.degree_zero_piece()
+        dims = _degree_zero_dims(ring, range(1, piece.level + 3))
+        assert dims == sorted(dims)
+        assert dims[piece.level - 1 :] == [len(piece)] * 3
+    assert dims == [0, 0, 0, 1, 3, 5, 7, 7, 7]
+
+
+def test_degree_zero_zoo_rings_at_level_one():
+    # every zoo ring has a(R) <= 0, so its carrier needs no higher level
+    names = sorted(
+        f for f in os.listdir(ZOO) if f.endswith(".json") and f != "expectations.json"
+    )
+    assert len(names) == 13
+    for name in names:
+        with open(os.path.join(ZOO, name)) as fh:
+            ring = GradedRing.from_dict(json.load(fh))
+        ring.check_cm()
+        assert ring.degree_zero_piece().level == 1, name
 
 
 # --- frobenius matrix ----------------------------------------------------------------------
@@ -255,12 +298,14 @@ def test_frobenius_matrix_three_lines_identity(lines3):
     assert A.stable_part().dim == 2
 
 
-def test_frobenius_matrix_unstabilized_rejected(lines2):
+def test_frobenius_matrix_empty_carrier_rejected(lines2):
+    # the true carrier of two lines has dimension 1 at every level, so an
+    # empty one fails the dimension check at level p*t before anything else
     lines2.check_cm()
     from frobstab.localcoh import DegreeZeroPiece
 
-    fake = DegreeZeroPiece(lines2, 1, ((0, 1),), (1,), False)
-    with pytest.raises(NotSupportedError):
+    fake = DegreeZeroPiece(lines2, 1, ())
+    with pytest.raises(InconsistencyError):
         lines2.frobenius_matrix(fake)
 
 

@@ -438,6 +438,49 @@ def test_octahedron_matches_reisner_and_hochster(p):
     assert report.agreement
 
 
+# Shioda-Katsura: the Fermat curve x^n + y^n + z^n is ordinary at p = 1
+# mod n (the stable part of Frobenius on H^1(O), the degree-zero piece of
+# H^2_m, is the whole genus) and supersingular when some p^k = -1 mod n
+# (Frobenius nilpotent there).  With sop (x, y), a(R) = n - 3 puts the
+# carrier at level n - 2.
+FERMAT_STABLE = [
+    (4, 5, True), (4, 13, True), (4, 3, False), (4, 7, False),
+    (5, 11, True), (5, 2, False), (5, 3, False), (5, 7, False),
+    (6, 7, True), (6, 13, True), (6, 5, False),
+]
+
+
+@pytest.mark.parametrize("n,p,ordinary", FERMAT_STABLE)
+def test_fermat_curve_stable_dim_matches_shioda_katsura(n, p, ordinary):
+    R = make(p, ("x", "y", "z"), (1, 1, 1), [f"x^{n} + y^{n} + z^{n}"], ["x", "y"])
+    R.check_cm()
+    genus = (n - 1) * (n - 2) // 2
+    piece = R.degree_zero_piece()
+    assert len(piece) == genus
+    assert piece.level == n - 2
+    verdict, dim, status = is_f_stable_certified(R)
+    assert status == "certified"
+    assert dim == (genus if ordinary else 0)
+    assert verdict == ordinary
+
+
+def test_w16_carrier_at_level_seven():
+    # z^2 = x^16 + y^16 with deg z = 8: the degree-zero dimensions by level
+    # are 0, 0, 0, 1, 3, 5, 7, so three equal levels prove nothing.  The
+    # curve w^2 = u^16 + 1 of genus 7 is a quotient of the Fermat curve of
+    # degree 16, ordinary at p = 17 (Shioda-Katsura), so all 7 are stable.
+    with open(os.path.join(DATA, "w16_p17.json")) as fh:
+        graded = GradedRing.from_dict(json.load(fh))
+    graded.check_cm()
+    piece = graded.degree_zero_piece()
+    assert piece.level == 7 and len(piece) == 7
+    report = f_stability(graded)
+    assert report.certified_status == "certified"
+    assert report.certified_verdict and report.stable_dim == 7
+    # a(R) = 6 > 0, so R is not F-injective (Fedder-Watanabe)
+    assert report.f_injective == (False, "certified")
+
+
 def test_stability_report_json_schema(lines2):
     data = f_stability(lines2).to_json()
     assert set(data) == {"ring", "f_injective", "f_stable", "sw_check"}
