@@ -5,12 +5,14 @@ from dataclasses import dataclass
 
 @dataclass
 class RunConfig:
-    """Bounds and knobs shared by chains, searches and sampling.
+    """Bounds and knobs for annihilator chains, closures and surveys.
 
     All chain computations are heuristically stabilized: a chain stops
     after `window` consecutive equality comparisons or at `e_max`, and
-    every report carries the resulting status.  The degree-zero carrier
-    takes no knob: its level is the exact one the a-invariant gives.
+    every report carries the resulting status.  `socle_t_max` bounds the
+    truncation levels the annihilator surveys sample.  No verdict reads
+    a knob: the degree-zero carrier sits at the exact level the
+    a-invariant gives, and the socle route runs its kernel to a fixpoint.
     """
 
     e_max: int = 6

@@ -11,32 +11,33 @@ module:
 * the certified route computes the Frobenius matrix on the degree-zero
   carrier, taken at the level the a-invariant gives, and takes the
   dimension of its stable part;
-* the socle route looks for a socle class of a truncation whose
-  Frobenius annihilator chain stabilizes at the maximal ideal.  Over F_p
-  the map u -> u^q is additive with fixed coefficients, so "m kills u^q
-  modulo I^[q] + J" is a linear condition on the socle coordinates of u;
-  the classes meeting it for q = p, ..., p^window are one kernel V_t per
-  truncation level, and the same normal forms confirm each basis vector.
-  On an F-injective ring these are exactly the classes whose chain
-  stabilizes at m outside the Frobenius closure of I_t, which is I_t + J
-  (Fedder-Watanabe).  On a ring that is not F-injective the theorem does
-  not apply, and the certified `f_injective` false beside the candidates
-  says so.
+* the socle route works at level 1 only.  Over F_p the map u -> u^q is
+  additive with fixed coefficients, so "m kills u^q modulo I_1^[q] + J"
+  is a linear condition on the socle coordinates of u.  The classes
+  meeting it for q = p, ..., p^e form a kernel V^(e), which is run to
+  its fixpoint V^inf, reached within dim socle(R/I_1) steps; Frobenius
+  maps V^inf into itself, and the route's candidates are a basis of the
+  stable part of that map.  Each has annihilator chain m at every e.
 
 No verdict computes a Frobenius closure.
 
 A nonzero stable part and the existence of such a class are equivalent
-for rings with an injective Frobenius action, so whenever both routes
-finish with certified/stabilized statuses their verdicts must agree;
-a certified-grade disagreement raises an inconsistency error instead of
-being reconciled silently.
+for rings with an injective Frobenius action.  Both routes are exact on
+a verified CM ring, so on an F-injective one their verdicts must agree,
+and a disagreement either way raises an inconsistency error instead of
+being reconciled silently.  On a ring that is not F-injective the
+equivalence does not apply, and the certified `f_injective` false beside
+the verdicts says so.
 
 Annihilator chains C_e = (I^[q] + J : x^q) stop after `window`
 consecutive equality comparisons.  A chain that never stabilizes (the
 colon of 1 in a polynomial ring, for instance) is reported with its last
-element as an explicit upper bound and no limit is claimed.
+element as an explicit upper bound and no limit is claimed.  The
+`window`, `e_max` and `socle_t_max` of a RunConfig drive these chains
+and the annihilator surveys; no verdict reads them.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -44,8 +45,9 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .frobenius import bracket_power
 from .groebner import Ideal
-from .linalg import kernel, rows_from_columns
+from .linalg import kernel, rank, rows_from_columns, solve
 from .localcoh import CM_VERIFIED, CohomologyClass
+from .semilinear import SemilinearOperator
 
 CHAIN_STABILIZED = "stabilized"
 CHAIN_NOT_STABILIZED = "not-stabilized"
@@ -177,16 +179,22 @@ def is_f_stable_certified(graded):
 
 @dataclass
 class SocleCandidate:
+    """A level-1 socle class in the stable part of Frobenius on V^inf.
+
+    Its annihilator chain is m at every e, by the fixpoint and not by a
+    window, so `limit` is the maximal ideal and the status is stabilized.
+    """
+
     level: int
     element: object
-    chain: ChainReport
+    limit: object
 
     def to_json(self):
         return {
             "t": self.level,
             "u": str(self.element),
-            "limit": self.chain.limit.canonical_strings(),
-            "status": self.chain.status,
+            "limit": self.limit.canonical_strings(),
+            "status": CHAIN_STABILIZED,
         }
 
 
@@ -205,56 +213,46 @@ class SocleSearchReport:
         }
 
 
-def socle_stability_search(graded, cfg=None):
-    """Socle classes whose annihilator chain stabilizes at m, one basis
-    per truncation level.
+def socle_stability_search(graded):
+    """Socle classes whose annihilator chain stays at m: a basis of the
+    stable part of Frobenius on V^inf.  Exact on a verified CM ring.
 
-    At level t <= socle_t_max with socle representatives r_1..r_s of
-    I_t + K, write u = sum c_i r_i and B_e = I_t^[q] + K, so that
-    C_e = (B_e : u^q).  m <= C_e holds exactly when x_j * u^q lies in B_e
-    for every variable x_j.  Over F_p that is linear in c, so the classes
-    meeting it for e = 0..window form the kernel V_t of one stacked
-    matrix of normal forms (the e = 0 rows vanish on a socle basis).
-    The columns reduce x_j * NF_{B_e}(r_i^q), and NF_{B_e}(r_i^q) comes
-    from the previous power as NF_{B_e}(NF_{B_(e-1)}(r_i^(q/p))^p), so no
-    reduction starts from r_i^q itself.
+    Take socle representatives r_1..r_s of I_1 + K, u = sum c_i r_i and
+    B_e = I_1^[q] + K with q = p^e.  V^(e) is the set of u with
+    m * u^(p^k) in B_k for every k <= e.  It is linear in c, since
+    c^p = c over F_p: the kernel of the stacked normal forms of
+    x_j * NF_{B_k}(r_i^(p^k)), k = 1..e (V^(0) is the whole socle).
+    Levels t >= 2 add nothing: on a CM ring socle(R/I_t) is
+    (x_1...x_d)^(t-1) * socle(R/I_1), and corresponding classes have
+    the same colon ideals because the x_i^q form a regular sequence.
 
-    Every basis vector of V_t is confirmed without colon chains.  Since m
-    is maximal and lies in C_e, C_e = m unless C_e = (1), that is unless
-    u^q lies in B_e; the normal form of u^q is sum c_i NF(r_i^q), from
-    columns the linear test reduces anyway.  A class with no such unit
-    step has the chain [m] * (window + 1) that a colon loop returns,
-    stabilized when window <= e_max, and is a candidate.
-
-    On an F-injective ring no u^q lies in B_e, chains descend, and I_t
-    is Frobenius closed (Fedder-Watanabe 1989), so V_t minus zero is
-    exactly the set of classes whose chain stabilizes at m outside the
-    closure of I_t.  On a ring that is not F-injective the candidates are
-    the V_t classes whose Frobenius images stay nonzero for e = 0..window;
-    the stability equivalence does not apply there, which the certified
-    `f_injective` false of `f_stability` marks.  `examined` counts the
-    socle basis vectors put through the linear test.
+    V^(e+1) = {u : F(u) in V^(e)}, so the first e with dim V^(e) =
+    dim V^(e-1) gives V^inf, within s steps, and F maps V^inf into
+    itself.  For v in V^inf, F(v) = sum v_i NF_{B_1}(r_i^p) is a socle
+    class at level p.  It is solved against the lifted socle
+    NF_{B_1}((x_1...x_d)^(p-1) r_j), independent because the transition
+    maps are injective, and rewritten in V^inf's basis; a rank or solve
+    failure raises.  Every nonzero class of the stable part has F^e(u)
+    nonzero and killed by m for every e, so its chain is m throughout.
+    Conversely a class with that chain lies in V^inf outside the
+    nilpotent part, so such a class exists exactly when the stable part
+    is nonzero.  `examined` is s.
     """
-    cfg = cfg or RunConfig()
+    if graded.cm_status != CM_VERIFIED:
+        raise NotSupportedError("the socle route requires a verified CM gate")
     ring = graded.ring
-    m = Ideal(ring, ring.gens())
-    # a colon loop ends at e_max before it can count `window` equalities
-    stabilizes = cfg.window <= cfg.e_max
+    reps = graded.socle_of_truncation(1)
+    I = Ideal(ring, graded.sop)
+    vecs, images = _socle_fixpoint(I, graded.relations, reps)
     candidates = []
-    examined = 0
-    for t in range(1, cfg.socle_t_max + 1):
-        reps = graded.socle_of_truncation(t)
-        if not reps:
-            continue
-        examined += len(reps)
-        I = Ideal(ring, [x**t for x in graded.sop])
-        vecs, powers = _socle_annihilated_by_m(I, graded.relations, reps, cfg.window)
-        for v in vecs:
-            limit_is_m = all(not _combine(v, nfs, ring).is_zero() for nfs in powers)
-            if stabilizes and limit_is_m:
-                chain = ChainReport([m] * (cfg.window + 1), CHAIN_STABILIZED, True)
-                candidates.append(SocleCandidate(t, _combine(v, reps, ring), chain))
-    return SocleSearchReport(candidates, examined)
+    if vecs:
+        B = bracket_power(I, 1, graded.relations)
+        op = _frobenius_on_fixpoint(graded, B, reps, vecs, images)
+        basis = [_combine(v, reps, ring) for v in vecs]
+        m = graded.maximal_ideal()
+        for y in op.stable_part().rows:
+            candidates.append(SocleCandidate(1, _combine(y, basis, ring), m))
+    return SocleSearchReport(candidates, len(reps))
 
 
 def _combine(coeffs, polys, ring):
@@ -264,33 +262,73 @@ def _combine(coeffs, polys, ring):
     return out
 
 
-def _socle_annihilated_by_m(I, relations, reps, window):
-    """Kernel basis of c -> (x_j * (sum c_i r_i)^q mod I^[q] + K) over
-    all variables x_j and q = p^e, e = 0..window, and for each e the
-    normal forms of r_i^q mod I^[q] + K.
+def _socle_fixpoint(I, relations, reps):
+    """A basis of V^inf, the kernel of c -> (x_j * (sum c_i r_i)^q mod
+    I^[q] + K) over all variables x_j and q = p^e, e = 1, 2, ... up to
+    the first e at which the kernel stops shrinking or vanishes; and the
+    normal forms of r_i^p mod I^[p] + K.
 
     Each power is carried forward from the last one: with B_e =
     I^[q] + K, NF_{B_e}(r^q) = NF_{B_e}(NF_{B_(e-1)}(r^(q/p))^p).  This is
     exact because r^(q/p) = NF + b with b in B_(e-1), Frobenius is
     additive, and B_(e-1)^[p] lies in B_e (K^[p] lies in K); the normal
-    form modulo a reduced Groebner basis is unique.  So each reduction
-    starts from degree p * deg(NF), not from q * deg(r).
+    form modulo a reduced Groebner basis is unique, and the socle
+    representatives are already reduced modulo B_0 = I + K.  So each
+    reduction starts from degree p * deg(NF), not from q * deg(r).
     """
     ring = I.ring
     columns = [{} for _ in reps]
-    powers = []
     nfs = reps
-    for e in range(window + 1):
+    dim = len(reps)
+    for e in itertools.count(1):
         B = bracket_power(I, e, relations)
-        nfs = [B.normal_form(nf.frobenius(1) if e else nf) for nf in nfs]
+        nfs = [B.normal_form(nf.frobenius(1)) for nf in nfs]
+        if e == 1:
+            images = nfs
         for col, nf in zip(columns, nfs):
             # x_j * (r^q - NF(r^q)) lies in B, so reducing x_j * NF(r^q) suffices
             for j, x in enumerate(ring.gens()):
                 for c, mono in B.normal_form(x * nf).terms:
                     col[(e, j, mono)] = c
-        powers.append(nfs)
-    rows = rows_from_columns(columns, ring.field)
-    return kernel(rows, ring.field, ncols=len(reps)), powers
+        vecs = kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
+        if not vecs or len(vecs) == dim:
+            return vecs, images
+        dim = len(vecs)
+
+
+def _frobenius_on_fixpoint(graded, B, reps, vecs, images):
+    """Frobenius on V^inf, with basis `vecs`, as a semilinear operator.
+
+    Column a holds the coordinates of F(vecs[a]) = sum_i vecs[a][i] *
+    images[i], a class at level p, first in the lifted socle
+    NF_B((x_1...x_d)^(p-1) r_j), B = I_1^[p] + K, then in `vecs`.
+    """
+    ring, fp = graded.ring, graded.ring.field
+    s, k = len(reps), len(vecs)
+    # the multiplier is reduced one parameter at a time, so that nothing
+    # is expanded in the polynomial ring; NF(b*NF(s)) = NF(b*s)
+    shift = ring.one()
+    for _ in range(graded.p - 1):
+        for x in graded.sop:
+            shift = B.normal_form(shift * x)
+    polys = [B.normal_form(shift * r) for r in reps]
+    polys += [_combine(v, images, ring) for v in vecs]
+    rows = rows_from_columns([{mono: c for c, mono in f.terms} for f in polys], fp)
+    lifted = [row[:s] for row in rows]
+    if rank(lifted, fp) != s:
+        raise InconsistencyError("the lifted socle is not independent at level p")
+    in_vecs = [[v[i] for v in vecs] for i in range(s)]
+    columns = []
+    for a in range(k):
+        w = solve(lifted, [row[s + a] for row in rows], fp)
+        if w is None:
+            raise InconsistencyError("Frobenius image of V^inf outside the lifted socle")
+        y = solve(in_vecs, w, fp)
+        if y is None:
+            raise InconsistencyError("Frobenius image of V^inf outside V^inf")
+        columns.append(y)
+    matrix = [[columns[a][b] for a in range(k)] for b in range(k)]
+    return SemilinearOperator(fp, k, matrix, twist=1)
 
 
 @dataclass
@@ -319,27 +357,28 @@ class StabilityReport:
         }
 
 
-def f_stability(graded, cfg=None):
+def f_stability(graded):
     """Run both stability routes and enforce the agreement contract.
 
-    A certified stable part of zero together with a socle candidate on
-    an F-injective CM ring (every candidate's chain is stabilized by
-    construction) is a theorem violation and raises; a missing candidate
-    under a positive certified verdict only flags disagreement, because
-    the search range is finite.  On a one-dimensional ring with declared minimal primes
-    the report also carries the component check, fed the certified
-    stable dimension; each phase runs once per call.
+    On an F-injective CM ring both routes are exact and the stability
+    equivalence applies, so a nonzero certified stable part without a
+    socle candidate, or a candidate beside a zero stable part, raises.
+    On a ring that is not F-injective the equivalence does not apply and
+    `agreement` only records whether the two verdicts match.  On a
+    one-dimensional ring with declared minimal primes the report also
+    carries the component check, fed the certified stable dimension;
+    each phase runs once per call.
     """
-    cfg = cfg or RunConfig()
     graded.check_cm()
     finj = is_f_injective_cm(graded)
     verdict, dim, status = is_f_stable_certified(graded)
-    socle = socle_stability_search(graded, cfg)
+    socle = socle_stability_search(graded)
     agreement = verdict == socle.found()
-    if not verdict and finj[0] and socle.candidates:
+    if finj[0] and not agreement:
         raise InconsistencyError(
-            f"{graded.name}: certified stable part is zero but a socle class "
-            "with annihilator m exists; the stability equivalence is violated"
+            f"{graded.name}: certified stable dimension {dim} but "
+            f"{len(socle.candidates)} socle candidates on an F-injective ring; "
+            "the stability equivalence is violated"
         )
     components = None
     if graded.dim == 1 and graded.minimal_primes:

@@ -193,30 +193,29 @@ def seeded(seed):
 
 
 def brute_force_socle_candidates(graded, cfg):
-    """(level, class) for every nonzero F_p-combination of each truncation's
-    socle basis whose annihilator chain stabilizes at m outside the
-    Frobenius closure: the socle route's acceptance test, applied to all
-    p^s - 1 combinations instead of a linear-algebra basis."""
+    """Every nonzero F_p-combination of the socle basis of I_1 + K whose
+    annihilator chain stabilizes at m outside the Frobenius closure: the
+    socle route's acceptance test, applied to all p^s - 1 combinations
+    instead of a linear-algebra basis."""
     ring = graded.ring
     m = Ideal(ring, ring.gens())
+    reps = graded.socle_of_truncation(1)
+    params = list(graded.sop)
+    closure = frobenius_closure(
+        Ideal(ring, params), cfg.e_max, cfg.window, relations=graded.relations
+    ).closure
     out = []
-    for t in range(1, cfg.socle_t_max + 1):
-        reps = graded.socle_of_truncation(t)
-        params = [x**t for x in graded.sop]
-        closure = frobenius_closure(
-            Ideal(ring, params), cfg.e_max, cfg.window, relations=graded.relations
-        ).closure
-        for coeffs in itertools.product(range(ring.p), repeat=len(reps)):
-            if not any(coeffs):
-                continue
-            u = ring.zero()
-            for c, rep in zip(coeffs, reps):
-                u = u + rep.scale(c)
-            chain = frobenius_colon_chain(graded, params, u, cfg)
-            if (
-                chain.status == CHAIN_STABILIZED
-                and chain.limit.equals(m)
-                and not closure.contains(u)
-            ):
-                out.append((t, u))
+    for coeffs in itertools.product(range(ring.p), repeat=len(reps)):
+        if not any(coeffs):
+            continue
+        u = ring.zero()
+        for c, rep in zip(coeffs, reps):
+            u = u + rep.scale(c)
+        chain = frobenius_colon_chain(graded, params, u, cfg)
+        if (
+            chain.status == CHAIN_STABILIZED
+            and chain.limit.equals(m)
+            and not closure.contains(u)
+        ):
+            out.append(u)
     return out

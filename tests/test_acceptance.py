@@ -52,7 +52,7 @@ def zoo_rings():
 
 @pytest.fixture(scope="module")
 def zoo_reports(zoo_rings):
-    return {name: f_stability(ring, CFG) for name, ring in zoo_rings.items()}
+    return {name: f_stability(ring) for name, ring in zoo_rings.items()}
 
 
 def ok(n, text):

@@ -14,10 +14,11 @@ import frobstab.frobenius as frobenius
 import frobstab.stability as stability
 from frobstab.cli import main, zoo_row
 from frobstab.config import RunConfig
-from frobstab.errors import InputError, NotSupportedError
+from frobstab.errors import InconsistencyError, InputError, NotSupportedError
 from frobstab.field import PrimeField
 from frobstab.frobenius import bracket_power, is_frobenius_closed
 from frobstab.groebner import Ideal
+from frobstab.linalg import kernel, rows_from_columns
 from frobstab.localcoh import CohomologyClass, GradedRing
 from frobstab.poly import PolyRing
 from frobstab.stability import (
@@ -219,7 +220,7 @@ def test_socle_search_two_lines_finds_candidate(lines2):
     assert report.found()
     cand = report.candidates[0]
     assert cand.level == 1
-    assert cand.chain.limit.equals(lines2.maximal_ideal())
+    assert cand.limit.equals(lines2.maximal_ideal())
 
 
 def test_socle_search_poly_ring_finds_nothing(poly1):
@@ -261,6 +262,12 @@ PARITY_EXTRA = {
     "cusp_line_p2": (
         2, ("a", "b", "c"), (2, 3, 1), ["a*c", "b*c", "b^2 - a^3"], ["a + c^2"]
     ),
+    # non-reduced and CM; of its two socle classes one leaves the socle
+    # under Frobenius, so V^(e) has dimensions 2, 1, 1 and the socle route
+    # reaches its fixpoint at e = 2
+    "fixpoint_e2_p2": (
+        2, ("a", "b", "c", "d"), (1, 1, 2, 2), ["a^4*d", "a*b", "b*d"], ["a^2 + b^2 + c", "c + d"]
+    ),
 }
 
 
@@ -299,31 +306,47 @@ def test_f_injectivity_matches_closure_test(name):
 def test_socle_search_matches_brute_force(name):
     graded = make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
     graded.check_cm()
-    cfg = RunConfig()
-    report = socle_stability_search(graded, cfg)
-    brute = brute_force_socle_candidates(graded, cfg)
+    report = socle_stability_search(graded)
+    brute = brute_force_socle_candidates(graded, RunConfig())
     assert report.found() == bool(brute)
-    assert {c.level for c in report.candidates} == {t for t, _u in brute}
-    assert {(c.level, c.element) for c in report.candidates} <= set(brute)
+    assert all(c.level == 1 for c in report.candidates)
+    assert {c.element for c in report.candidates} <= set(brute)
 
 
-@pytest.mark.parametrize("window", [2, 1, 3])
+@pytest.mark.parametrize("level", [2, 1, 3])
 @pytest.mark.parametrize("name", PARITY_ZOO + sorted(PARITY_EXTRA))
-def test_socle_candidate_chains_match_colon_chains(name, window):
+def test_socle_candidate_chains_match_colon_chains(name, level):
+    # the fixpoint claims C_e = m at every e; the colon loop checks it for
+    # e <= s + 2, at level 1 and on the candidate's image (x_1...x_d)^(t-1) u
+    # at level t, whose chain is the same because the x_i^q are regular
     graded = make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
     graded.check_cm()
-    cfg = RunConfig(window=window)
-    for cand in socle_stability_search(graded, cfg).candidates:
-        params = [x**cand.level for x in graded.sop]
-        real = frobenius_colon_chain(graded, params, cand.element, cfg)
-        assert cand.chain.to_json() == real.to_json()
+    report = socle_stability_search(graded)
+    e_max = report.examined + 2
+    cfg = RunConfig(e_max=e_max, window=e_max)
+    params = [x**level for x in graded.sop]
+    lift = graded.sop_product() ** (level - 1)
+    for cand in report.candidates:
+        real = frobenius_colon_chain(graded, params, cand.element * lift, cfg)
+        assert len(real.ideals) == e_max + 1
+        assert all(C.equals(cand.limit) for C in real.ideals)
+        assert cand.to_json()["status"] == real.status == CHAIN_STABILIZED
+        assert cand.to_json()["limit"] == real.limit.canonical_strings()
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
-def test_both_routes_match_fedder_on_the_noether_order_cubic(p):
-    # Fedder: ordinary (F-pure, stable_dim 1) iff p = 1 mod 3
+# Fedder: the Fermat cubic is ordinary (F-pure, stable_dim 1) iff p = 1
+# mod 3.  The (x, y, z) order puts the sop variable x in the lead of the
+# relation, so every bracket power there needs a real Buchberger run.
+FEDDER_CUBICS = [
+    pytest.param(p, ("z", "x", "y"), id=str(p))
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+] + [pytest.param(p, ("x", "y", "z"), id=f"xyz-{p}") for p in (7, 13, 43)]
+
+
+@pytest.mark.parametrize("p,order", FEDDER_CUBICS)
+def test_both_routes_match_fedder_on_the_noether_order_cubic(p, order):
     ordinary = p % 3 == 1
-    report = f_stability(_cubic(p, ("z", "x", "y")))
+    report = f_stability(_cubic(p, order))
     assert report.f_injective == (ordinary, "certified")
     assert report.stable_dim == (1 if ordinary else 0)
     assert report.socle.found() == ordinary
@@ -346,7 +369,7 @@ RECURRENCE_RINGS = {
 )
 def test_frobenius_normal_forms_carry_forward(name, p, t, seed):
     # NF_{B_e}(NF_{B_(e-1)}(f^(p^(e-1)))^p) = NF_{B_e}(f^(p^e)), B_e = I^[p^e] + K:
-    # the recurrence `_socle_annihilated_by_m` builds its powers by
+    # the recurrence `_socle_fixpoint` builds its powers by
     graded = make(p, *RECURRENCE_RINGS[name])
     I = Ideal(graded.ring, [x**t for x in graded.sop])
     f = random_poly(graded.ring, seeded(seed))
@@ -376,24 +399,109 @@ def test_socle_route_reduces_no_full_frobenius_power(monkeypatch):
     assert max(largest) == 2 * p
 
 
-def test_socle_search_needs_window_within_e_max():
-    # the colon loop stops at e_max = 1 before counting two equalities
-    graded = _zoo_ring("lines2_p5")
+def _count_bracket_exponents(monkeypatch):
+    """The exponents e of the socle route's `bracket_power` calls."""
+    exponents = []
+
+    def counted(I, e, relations=None):
+        exponents.append(e)
+        return bracket_power(I, e, relations)
+
+    monkeypatch.setattr(stability, "bracket_power", counted)
+    return exponents
+
+
+def test_socle_route_works_at_level_one_and_frobenius_exponent_one(monkeypatch):
+    # on the cubic in order (x, y, z) the fixpoint comes at e = 1, so the
+    # route reads socle(R/I_1) and the bracket power I_1^[p] + K and nothing else
+    with open(os.path.join(DATA, "cubic_xyz_p7.json")) as fh:
+        graded = GradedRing.from_dict(json.load(fh))
     graded.check_cm()
-    cfg = RunConfig(e_max=1, window=2)
-    assert brute_force_socle_candidates(graded, cfg) == []
-    assert not socle_stability_search(graded, cfg).found()
+    levels = []
+    socle_of_truncation = GradedRing.socle_of_truncation
+
+    def counted_socle(self, t):
+        levels.append(t)
+        return socle_of_truncation(self, t)
+
+    monkeypatch.setattr(GradedRing, "socle_of_truncation", counted_socle)
+    exponents = _count_bracket_exponents(monkeypatch)
+    report = socle_stability_search(graded)
+    assert report.found() and report.examined == 1
+    assert levels == [1]
+    assert exponents and max(exponents) <= 1
+
+
+def test_socle_route_runs_to_the_fixpoint_past_e_one(monkeypatch):
+    graded = _parity_ring("fixpoint_e2_p2")
+    graded.check_cm()
+    ring, relations = graded.ring, graded.relations
+    I = Ideal(ring, graded.sop)
+    reps = graded.socle_of_truncation(1)
+    # V^(e) from the full powers r^q, without carrying normal forms forward
+    columns = [{} for _ in reps]
+    dims = [len(reps)]
+    for e in (1, 2, 3):
+        B = bracket_power(I, e, relations)
+        for col, r in zip(columns, reps):
+            for j, x in enumerate(ring.gens()):
+                for c, mono in B.normal_form(x * r.frobenius(e)).terms:
+                    col[(e, j, mono)] = c
+        dims.append(len(kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))))
+    assert dims == [2, 1, 1, 1]
+    exponents = _count_bracket_exponents(monkeypatch)
+    report = socle_stability_search(graded)
+    assert max(exponents) == 2
+    # Frobenius is nilpotent on that V^inf: the ring is not F-injective
+    assert not report.found() and report.examined == 2
+    assert is_f_injective_cm(graded) == (False, "certified")
+
+
+def test_socle_route_requires_cm():
+    bad = make(2, ("a", "b"), (1, 1), ["a^2", "a*b"], ["b"])
+    bad.check_cm()
+    with pytest.raises(NotSupportedError):
+        socle_stability_search(bad)
 
 
 def test_socle_search_reports_a_basis_per_level():
+    # socle(R/I_t) = (a+b)^(t-1) * socle(R/I_1) on a CM ring, so one
+    # level-1 basis is all there is
     graded = _zoo_ring("lines2_p5")
     graded.check_cm()
     report = socle_stability_search(graded)
-    assert len(report.candidates) == 3
-    assert [c.level for c in report.candidates] == [1, 2, 3]
+    assert len(report.candidates) == 1
+    assert [c.level for c in report.candidates] == [1]
     for c in report.candidates:
-        assert c.chain.status == CHAIN_STABILIZED
-        assert c.chain.limit.equals(graded.maximal_ideal())
+        assert c.to_json()["status"] == CHAIN_STABILIZED
+        assert c.limit.equals(graded.maximal_ideal())
+
+
+def test_missing_socle_candidate_on_an_f_injective_ring_raises(monkeypatch):
+    # both routes are exact on an F-injective CM ring, so a positive
+    # certified verdict without a candidate is a violation, not a miss
+    graded = _zoo_ring("lines2_p2")
+
+    def empty(graded):
+        return stability.SocleSearchReport([], 0)
+
+    monkeypatch.setattr(stability, "socle_stability_search", empty)
+    with pytest.raises(InconsistencyError):
+        f_stability(graded)
+
+
+@pytest.mark.parametrize("name", ["w16_p17", "fermat4_p5"])
+def test_disagreement_off_f_injective_rings_is_only_reported(name):
+    # the stability equivalence needs an injective Frobenius action
+    if name == "fermat4_p5":
+        graded = make(5, ("x", "y", "z"), (1, 1, 1), ["x^4 + y^4 + z^4"], ["x", "y"])
+    else:
+        with open(os.path.join(DATA, name + ".json")) as fh:
+            graded = GradedRing.from_dict(json.load(fh))
+    report = f_stability(graded)
+    assert report.f_injective == (False, "certified")
+    assert report.certified_verdict and not report.socle.found()
+    assert report.agreement is False
 
 
 # --- combined verdicts ---------------------------------------------------------------------
