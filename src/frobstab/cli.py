@@ -44,11 +44,6 @@ def build_parser():
         "--window", type=int, default=2,
         help="stabilization window of `ideal fclosure`; no verdict reads it",
     )
-    common.add_argument(
-        "--socle-tmax", type=int, default=3,
-        help="truncation levels of the library's annihilator surveys; "
-        "no command reads it",
-    )
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
         "--cache", default=None, help="GB cache directory (overrides FROBSTAB_CACHE)"
@@ -87,12 +82,7 @@ def build_parser():
 
 def _config(args):
     cache = args.cache or os.environ.get("FROBSTAB_CACHE") or None
-    cfg = RunConfig(
-        e_max=args.emax,
-        window=args.window,
-        socle_t_max=args.socle_tmax,
-        json=args.json,
-    )
+    cfg = RunConfig(e_max=args.emax, window=args.window, json=args.json)
     set_cache_dir(cache)
     return cfg
 
@@ -143,13 +133,13 @@ def cmd_ring_check(args, cfg, out):
     graded = _load_ring(args.ring)
     status, witness = graded.check_cm()
     report = graded.describe()
-    report["cm"] = {"status": status, "witness": str(witness) if witness else None}
+    user_text = lambda w: None if w is None else str(graded.to_user(w))
+    report["cm"] = {"status": status, "witness": user_text(witness)}
     if status == "verified":
         value, fstatus = is_f_injective_cm(graded)
         finj = {"value": value, "status": fstatus, "witness": None}
         if not value:
-            w = f_injectivity_witness(graded)
-            finj["witness"] = str(w) if w is not None else None
+            finj["witness"] = user_text(f_injectivity_witness(graded))
         report["f_injective"] = finj
     else:
         report["f_injective"] = {
@@ -169,10 +159,11 @@ def cmd_stability(args, cfg, out):
 
 def cmd_ideal(args, cfg, out):
     graded = _load_ring(args.ring)
-    ring = graded.ring
+    # in the user's ring: a Frobenius root of T_i - theta_i is the unit ideal
+    ring = graded.user_ring
     gens = [ring.parse(t.strip()) for t in args.gens.split(",") if t.strip()]
     I = Ideal(ring, gens)
-    relations = graded.relations
+    relations = graded.user_relations
     stored = Ideal(ring, I.gens + relations.gens)
     report = {"ring": graded.name, "op": args.op, "gens": [str(g) for g in I.gens]}
     if args.op == "gb":

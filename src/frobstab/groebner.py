@@ -62,12 +62,16 @@ def clear_memory_cache():
     _memory_cache.clear()
 
 
+def _order_key(ring):
+    return [ring.order.kind, ring.order.block, list(ring.order.weights or ())]
+
+
 def _cache_key(ring, gens):
     payload = json.dumps(
         {
             "p": ring.p,
             "vars": list(ring.names),
-            "order": [ring.order.kind, ring.order.block],
+            "order": _order_key(ring),
             "gens": sorted(str(g) for g in gens),
         },
         sort_keys=True,
@@ -85,7 +89,7 @@ def _disk_load(ring, gens, key):
         if (
             data["p"] != ring.p
             or data["vars"] != list(ring.names)
-            or data["order"] != [ring.order.kind, ring.order.block]
+            or data["order"] != _order_key(ring)
         ):
             return None
         gb = tuple(ring.parse(s) for s in data["gens"])
@@ -111,7 +115,7 @@ def _disk_store(ring, gb, key):
     data = {
         "p": ring.p,
         "vars": list(ring.names),
-        "order": [ring.order.kind, ring.order.block],
+        "order": _order_key(ring),
         "gens": [str(g) for g in gb],
         "leads": [str(Polynomial(ring, (g.lt(),))) for g in gb],
     }
@@ -299,11 +303,12 @@ class StaircaseBasis:
 
 
 class Ideal:
-    """An ideal with a lazily computed, cached reduced Groebner basis."""
+    """An ideal with a lazily computed, cached reduced Groebner basis, or
+    with `reduced` the caller's word that `gens` is it (nothing checks)."""
 
     __slots__ = ("ring", "gens", "_gb")
 
-    def __init__(self, ring, gens=()):
+    def __init__(self, ring, gens=(), reduced=False):
         self.ring = ring
         seen = set()
         kept = []
@@ -315,7 +320,7 @@ class Ideal:
             seen.add(g.terms)
             kept.append(g)
         self.gens = tuple(kept)
-        self._gb = None
+        self._gb = tuple(sorted(kept, key=lambda g: (ring.key(g.lm()), g.terms))) if reduced else None
 
     @classmethod
     def parse(cls, ring, texts):

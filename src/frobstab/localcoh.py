@@ -1,14 +1,18 @@
 """The direct-limit model of top local cohomology for a graded ring.
 
-A GradedRing is a quotient presentation F_p[vars]/J with positive
-variable weights, together with a homogeneous system of parameters
-x_1..x_d.  Classes of the top module are written [z + (J, x_1^t..x_d^t)]
-and move up the direct system by multiplication with x_1*...*x_d; the
-Frobenius action sends a level-t class to [z^p] at level p*t.
+A GradedRing F_p[vars]/K with positive variable weights and a
+homogeneous system of parameters theta_1..theta_d is computed as S'/K',
+S' = F_p[vars, T_1..T_d], K' = K + (T_i - theta_i), in the grevlex order
+weighted by the degrees (deg T_i = deg theta_i) with the T_i last, and
+sop T_1..T_d.  Classes of the top module are written [z + I_t], I_t = K'
++ (T_1^t..T_d^t), and move up the direct system by multiplication with
+T_1*...*T_d; the Frobenius action sends a level-t class to [z^p] at
+level p*t.  By Bayer and Stillman (1987) one reduced Groebner basis G
+of K' serves every I_t.
 
 Everything certified runs through two gates: the CM check (the sop is a
 verified regular sequence, which makes the transition maps injective and
-R free over F_p[x_1..x_d]) and the level T the a-invariant gives, from
+R free over F_p[T_1..T_d]) and the level T the a-invariant gives, from
 which on the degree-zero graded piece no longer grows.  The stable part
 of the graded module is concentrated in degree zero — a span of
 homogeneous Frobenius images is graded and a nonzero degree would need
@@ -17,12 +21,12 @@ is all the semilinear machinery ever sees.
 """
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .field import PrimeField
 from .groebner import Ideal, socle_basis
-from .linalg import rank, solve
-from .poly import GREVLEX, PolyRing, mono_degree
+from .poly import GREVLEX, MonomialOrder, Polynomial, PolyRing, mono_degree, mono_mul
 from .semilinear import SemilinearOperator
 
 CM_UNCHECKED = "unchecked"
@@ -31,21 +35,35 @@ CM_FAILED = "failed"
 
 
 class GradedRing:
-    """Graded quotient F_p[vars]/J with a homogeneous sop."""
+    """Graded quotient F_p[vars]/K with a homogeneous sop: `ring`, `relations`,
+    `sop`, `weights` are S', K', T_i, their weights; `user_*`, `degrees` the input."""
 
     def __init__(self, field, names, degrees, relations, sop, minimal_primes=None, name=None):
-        self.ring = PolyRing(field, names, GREVLEX)
+        self.user_ring = PolyRing(field, names, GREVLEX)
         degrees = tuple(int(d) for d in degrees)
         if len(degrees) != len(names) or any(d <= 0 for d in degrees):
             raise InputError("each variable needs a positive degree")
         self.degrees = degrees
-        self.relations = Ideal(self.ring, relations)
-        self.sop = tuple(sop)
+        self.user_relations = Ideal(self.user_ring, relations)
+        self.user_sop = tuple(sop)
         self.minimal_primes = minimal_primes
-        self.name = name or f"F_{field.p}[{','.join(names)}]/({', '.join(map(str, self.relations.gens)) or '0'})"
+        self.name = name or f"F_{field.p}[{','.join(names)}]/({', '.join(map(str, self.user_relations.gens)) or '0'})"
+        self._validate()
+        self.weights = degrees + tuple(x.homogeneous_degree(degrees) for x in self.user_sop)
+        tnames = tuple(f"T{i + 1}" for i in range(len(self.user_sop)))
+        while set(tnames) & set(names):
+            tnames = tuple("_" + t for t in tnames)
+        order = MonomialOrder("grevlex", weights=self.weights)
+        self.ring = PolyRing(field, self.user_ring.names + tnames, order)
+        self.sop = tuple(self.ring.var(t) for t in tnames)
+        lift = self.ring.from_other
+        rels = [lift(g) for g in self.user_relations.gens]
+        self.relations = Ideal(self.ring, rels + [T - lift(x) for T, x in zip(self.sop, self.user_sop)])
         self.cm_status = CM_UNCHECKED
         self.cm_witness = None
-        self._validate()
+        self._level_one = None
+        if not self.truncation_ideal(1).is_artinian():
+            raise InputError("the declared sop does not cut the ring down to dimension zero")
 
     @classmethod
     def from_dict(cls, data):
@@ -68,18 +86,14 @@ class GradedRing:
         return cls(field, names, degrees, relations, sop, primes, name=data.get("name"))
 
     def _validate(self):
-        for g in self.relations.gens:
+        for g in self.user_relations.gens:
             if g.homogeneous_degree(self.degrees) is None:
                 raise InputError(f"relation {g} is not homogeneous for the given weights")
-        if not self.sop:
+        if not self.user_sop:
             raise InputError("a nonempty system of parameters is required")
-        for x in self.sop:
+        for x in self.user_sop:
             if x.is_zero() or x.homogeneous_degree(self.degrees) is None:
                 raise InputError("sop entries must be nonzero and homogeneous")
-        if not self.truncation_ideal(1).is_artinian():
-            raise InputError(
-                "the declared sop does not cut the ring down to dimension zero"
-            )
 
     # --- basic data -----------------------------------------------------------
 
@@ -92,28 +106,33 @@ class GradedRing:
         return len(self.sop)
 
     def sop_degrees(self):
-        return tuple(x.homogeneous_degree(self.degrees) for x in self.sop)
+        return self.weights[self.user_ring.nvars :]
 
     def degree_sum(self):
         return sum(self.sop_degrees())
 
     def sop_product(self):
-        out = self.ring.one()
-        for x in self.sop:
-            out = out * x
-        return out
+        return self.ring.monomial((0,) * self.user_ring.nvars + (1,) * self.dim)
 
     def maximal_ideal(self):
         return Ideal(self.ring, self.ring.gens())
+
+    def to_user(self, f):
+        """f in the user's ring, with T_i replaced by theta_i."""
+        n, out = self.user_ring.nvars, self.user_ring.zero()
+        for c, e in f.terms:
+            powers = (x**b for x, b in zip(self.user_sop, e[n:]))
+            out = out + prod(powers, start=self.user_ring.monomial(e[:n], c))
+        return out
 
     def describe(self):
         return {
             "name": self.name,
             "char": self.p,
-            "vars": list(self.ring.names),
+            "vars": list(self.user_ring.names),
             "degrees": list(self.degrees),
-            "relations": [str(g) for g in self.relations.gens],
-            "sop": [str(x) for x in self.sop],
+            "relations": [str(g) for g in self.user_relations.gens],
+            "sop": [str(x) for x in self.user_sop],
             "dim": self.dim,
         }
 
@@ -122,36 +141,59 @@ class GradedRing:
     def check_cm(self):
         """Verify the sop is a regular sequence mod the relations.
 
-        For each k the colon (J + (x_1..x_{k-1})) : x_k must equal
-        J + (x_1..x_{k-1}); on failure a witness element is recorded.
+        With the T_i last in a reverse-lexicographic order it is one
+        exactly when no lead of G involves a T_i (Bayer and Stillman).
+        Otherwise take the last T_k some lead involves and the first such
+        g: with T_(k+1)..T_d set to 0, g = T_k * h, and the witness h lies
+        in (K' + (T_(k+1)..T_d)) : T_k but not in K' + (T_(k+1)..T_d).
         The result gates every certified claim downstream.
         """
         if self.cm_status != CM_UNCHECKED:
             return self.cm_status, self.cm_witness
-        base_gens = list(self.relations.gens)
-        for x in self.sop:
-            base = Ideal(self.ring, base_gens)
-            quot = base.colon(x)
-            if not base.contains_ideal(quot):
-                witness = next(g for g in quot.gens if not base.contains(g))
-                self.cm_status = CM_FAILED
-                self.cm_witness = witness
-                return self.cm_status, witness
-            base_gens.append(x)
-        self.cm_status = CM_VERIFIED
-        return self.cm_status, None
+        G, n = self.relations.groebner_basis(), self.user_ring.nvars
+        involved = [i for g in G for i, b in enumerate(g.lm()[n:], n) if b]
+        self.cm_status = CM_FAILED if involved else CM_VERIFIED
+        if involved:
+            k = max(involved)
+            g = next(g for g in G if g.lm()[k])
+            h = [(c, e[:k] + (e[k] - 1,) + e[k + 1 :]) for c, e in g.terms if not any(e[k + 1 :])]
+            self.cm_witness = Polynomial(self.ring, tuple(h))
+        return self.cm_status, self.cm_witness
 
     # --- truncations ---------------------------------------------------------------
 
     def truncation_ideal(self, t):
-        """J + (x_1^t, ..., x_d^t)."""
+        """I_t = K' + (T_1^t, ..., T_d^t).  When no lead of G involves a
+        T_i (the CM case) the T_i^t have coprime leads, and G with every
+        term some T_i^t divides dropped, plus the T_i^t, is its reduced
+        basis; otherwise Buchberger completes G and the T_i^t."""
         if t < 1:
             raise InputError("truncation level must be >= 1")
-        gens = list(self.relations.gens) + [x**t for x in self.sop]
-        return Ideal(self.ring, gens)
+        G = self.relations.groebner_basis()
+        powers = [T**t for T in self.sop]
+        n = self.user_ring.nvars
+        if any(any(g.lm()[n:]) for g in G):
+            return Ideal(self.ring, list(G) + powers)
+        if not any(G[0].lm()):
+            return self.relations  # the unit ideal holds every T_i^t
+        kept = [
+            Polynomial(self.ring, tuple((c, e) for c, e in g.terms if max(e[n:]) < t))
+            for g in G
+        ]
+        return Ideal(self.ring, kept + powers, reduced=True)
 
     def socle_of_truncation(self, t):
-        return socle_basis(self.truncation_ideal(t))
+        # T_i = theta_i modulo K', so the user's variables generate m
+        return socle_basis(self.truncation_ideal(t), self.ring.gens()[: self.user_ring.nvars])
+
+    def level_one_socle(self):
+        """(socle representatives r_i of R/I_1, NF(r_i^p) mod I_p), which
+        F-injectivity and the socle route share; computed once."""
+        if self._level_one is None:
+            reps = self.socle_of_truncation(1)
+            I_p = self.truncation_ideal(self.p)
+            self._level_one = reps, [I_p.normal_form(r.frobenius(1)) for r in reps]
+        return self._level_one
 
     def cohomology_class(self, numerator, level=1):
         return CohomologyClass(self, level, numerator)
@@ -161,14 +203,14 @@ class GradedRing:
     def degree_zero_piece(self):
         """Basis of the degree-zero graded piece of the limit, at level T.
 
-        The verified sop makes R free over F_p[x_1..x_d], so R/I_t is
-        R/I_1 tensored with F_p[x]/(x_1^t..x_d^t) as graded spaces, and
-        H^d_m(R) is R/I_1 tensored with the monomials x^-b, every b_i >= 1.
+        The verified sop makes R free over F_p[T_1..T_d], so R/I_t is
+        R/I_1 tensored with F_p[T]/(T_1^t..T_d^t) as graded spaces, and
+        H^d_m(R) is R/I_1 tensored with the monomials T^-b, every b_i >= 1.
         A degree-zero class pairs a standard monomial of weighted degree e
-        with sum b_i deg(x_i) = e, which forces (b_i - 1) deg(x_i) <= a(R)
-        = top degree of R/I_1 - sum deg(x_i).  Level t holds the classes
-        with every b_i <= t, so from T = max(1, 1 + a(R) // min deg(x_i))
-        on the transitions (multiply by x_1...x_d) are bijective in degree
+        with sum b_i deg(T_i) = e, which forces (b_i - 1) deg(T_i) <= a(R)
+        = top degree of R/I_1 - sum deg(T_i).  Level t holds the classes
+        with every b_i <= t, so from T = max(1, 1 + a(R) // min deg(T_i))
+        on the transitions (multiply by T_1...T_d) are bijective in degree
         zero: injective by the CM gate, and of equal dimension by the count.
         """
         if self.cm_status != CM_VERIFIED:
@@ -176,59 +218,37 @@ class GradedRing:
         degsum = self.degree_sum()
         stair = self.truncation_ideal(1).staircase().monomials
         # default=0: a unit relation leaves no standard monomial and T = 1
-        a = max((mono_degree(mono, self.degrees) for mono in stair), default=0) - degsum
+        a = max((mono_degree(mono, self.weights) for mono in stair), default=0) - degsum
         level = max(1, 1 + a // min(self.sop_degrees()))
         I_T = self.truncation_ideal(level)
-        basis = I_T.staircase(weights=self.degrees, degree=level * degsum).monomials
+        basis = I_T.staircase(weights=self.weights, degree=level * degsum).monomials
         return DegreeZeroPiece(self, level, basis)
 
     def frobenius_matrix(self, piece):
         """Matrix of the Frobenius action on the degree-zero carrier.
 
         Column j holds the coordinates of F(basis_j), a level p*t class,
-        in the level p*t basis obtained by lifting the carrier basis.
-        Any dimension or coordinate failure aborts: it means the carrier
-        was taken below its stable level, never that an approximation is
-        acceptable.
+        in the level p*t basis obtained by lifting the carrier basis by
+        T^((p-1)t), an injection of standard monomials (G's leads hold no
+        T) and so a bijection once the counts agree.  A dimension failure
+        aborts: it means the carrier was taken below its stable level,
+        never that an approximation is acceptable.
         """
         m = len(piece.basis)
-        fp = self.ring.field
-        t = piece.level
-        pt = self.p * t
-        degsum = self.degree_sum()
+        fp, t, pt = self.ring.field, piece.level, self.p * piece.level
         I_pt = self.truncation_ideal(pt)
-        stair_pt = I_pt.staircase(weights=self.degrees, degree=pt * degsum)
+        stair_pt = I_pt.staircase(weights=self.weights, degree=pt * self.degree_sum())
         if len(stair_pt) != m:
             raise InconsistencyError(
                 "degree-zero piece changed dimension between levels t and p*t; "
                 "the carrier level is below the stable one"
             )
-        if m == 0:
-            return SemilinearOperator(fp, 0, (), twist=1)
-        # shift = (x_1...x_d)^((p-1)t), one parameter at a time, reduced
-        # modulo I_pt after each product so that nothing is expanded in the
-        # polynomial ring; NF(b*NF(s)) = NF(b*s) keeps the coordinates
-        shift = self.ring.one()
-        for _ in range((self.p - 1) * t):
-            for x in self.sop:
-                shift = I_pt.normal_form(shift * x)
-        lifted = []
-        images = []
-        for mono in piece.basis:
-            b = self.ring.monomial(mono)
-            lifted.append(I_pt.coordinates(b * shift, stair_pt))
-            images.append(I_pt.coordinates(b.frobenius(1), stair_pt))
-        rows = [[lifted[i][r] for i in range(m)] for r in range(m)]
-        if rank(rows, fp) != m:
-            raise InconsistencyError("lifted basis is not independent at level p*t")
+        shift = (0,) * self.user_ring.nvars + ((self.p - 1) * t,) * self.dim
+        rows = [stair_pt.index[mono_mul(mono, shift)] for mono in piece.basis]
         columns = []
-        for img in images:
-            alpha = solve(rows, img, fp)
-            if alpha is None:
-                raise InconsistencyError(
-                    "coordinate failure: Frobenius image outside the lifted span"
-                )
-            columns.append(alpha)
+        for mono in piece.basis:
+            image = I_pt.coordinates(self.ring.monomial(mono).frobenius(1), stair_pt)
+            columns.append([image[r] for r in rows])
         matrix = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
         return SemilinearOperator(fp, m, matrix, twist=1)
 
@@ -246,7 +266,7 @@ class DegreeZeroPiece:
 
 
 class CohomologyClass:
-    """A class [z + (J, x_1^t, ..., x_d^t)] in the direct-limit model."""
+    """A class [z + I_t] in the direct-limit model, z in the module ring."""
 
     __slots__ = ("graded", "level", "numerator")
 
@@ -256,13 +276,6 @@ class CohomologyClass:
         self.graded = graded
         self.level = level
         self.numerator = graded.truncation_ideal(level).normal_form(numerator)
-
-    def degree(self):
-        """Degree of the class in the graded limit module, or None."""
-        d = self.numerator.homogeneous_degree(self.graded.degrees)
-        if d is None:
-            return None
-        return d - self.level * self.graded.degree_sum()
 
     def lift(self, level):
         """The same limit element presented at a higher level."""

@@ -31,11 +31,12 @@ class MonomialOrder:
 
     kind is one of "lex", "grevlex", "elim"; for "elim", ``block`` is the
     number of leading variables eliminated first (grevlex within each
-    block).
+    block); positive ``weights`` make "grevlex" weigh the degree.
     """
 
     kind: str
     block: int = 0
+    weights: tuple = None
 
     def weight_matrix(self, nvars):
         """Integer rows w with key(e) = (w_0 . e, w_1 . e, ...).
@@ -43,10 +44,15 @@ class MonomialOrder:
         Keys are additive in e and injective on exponent vectors, which
         the term kernels rely on.
         """
+        if self.weights is not None and (
+            self.kind != "grevlex" or len(self.weights) != nvars or min(self.weights) < 1
+        ):
+            raise InputError("weights need a grevlex order and one positive weight per variable")
         if self.kind == "lex":
             return tuple(_unit(nvars, i) for i in range(nvars))
         if self.kind == "grevlex":
-            return _grevlex_rows(nvars, 0, nvars)
+            rows = _grevlex_rows(nvars, 0, nvars)
+            return (self.weights or rows[0],) + rows[1:]
         if self.kind == "elim":
             k = self.block
             if not 0 < k < nvars:
@@ -181,9 +187,12 @@ class PolyRing:
         """Polynomial from {monomial: coefficient}; reduces and sorts."""
         terms = []
         for e, c in coeffs.items():
+            e = tuple(e)
+            if len(e) != self.nvars or any(x < 0 for x in e):
+                raise InputError("bad exponent vector")
             c %= self.p
             if c:
-                terms.append((c, tuple(e)))
+                terms.append((c, e))
         terms.sort(key=lambda t: self.key(t[1]), reverse=True)
         return Polynomial(self, tuple(terms))
 

@@ -2,8 +2,9 @@
 
 F-injectivity of a Cohen-Macaulay ring is one rank: H^d_m(R) is an
 essential extension of its socle, the image of socle(R/I_1), and ker F
-is a submodule, so F is injective exactly when u -> u^p mod I_1^[p] + J,
-linear on socle(R/I_1) over F_p, has full rank.
+is a submodule, so F is injective exactly when u -> u^p mod I_p = I_1^[p]
+(in the module ring of `frobstab.localcoh`), linear on socle(R/I_1), has
+full rank.
 
 Two independent routes decide F-stability of the top local cohomology
 module:
@@ -12,7 +13,7 @@ module:
   carrier, taken at the level the a-invariant gives, and takes the
   dimension of its stable part;
 * the socle route works at level 1 only.  Over F_p the map u -> u^q is
-  additive with fixed coefficients, so "m kills u^q modulo I_1^[q] + J"
+  additive with fixed coefficients, so "m kills u^q modulo I_q"
   is a linear condition on the socle coordinates of u.  The classes
   meeting it for q = p, ..., p^e form a kernel V^(e), which is run to
   its fixpoint V^inf, reached within dim socle(R/I_1) steps; Frobenius
@@ -45,7 +46,7 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .frobenius import bracket_power
 from .groebner import Ideal
-from .linalg import kernel, rank, rows_from_columns, solve
+from .linalg import kernel, rows_from_columns, solve
 from .localcoh import CM_VERIFIED, CohomologyClass
 from .semilinear import SemilinearOperator
 
@@ -133,8 +134,8 @@ def frobenius_annihilator(eta, cfg=None, expect_descending=False):
 
 def is_f_injective_cm(graded):
     """(verdict, "certified"): F is injective on H^d_m(R) exactly when the
-    map c -> NF(sum c_i r_i^p) mod I_1^[p] + J has rank s (a zero kernel),
-    where r_1..r_s are the socle representatives of I_1 + J.
+    map c -> NF(sum c_i r_i^p) mod I_p = I_1^[p] has rank s (a zero
+    kernel), where r_1..r_s are the socle representatives of I_1.
 
     Stated for Cohen-Macaulay rings only; the CM gate must be verified.
     There H^d_m(R) is an essential extension of its socle, which is the
@@ -145,26 +146,19 @@ def is_f_injective_cm(graded):
     """
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("the F-injectivity criterion requires a verified CM gate")
-    _reps, vecs = _socle_frobenius_kernel(graded)
-    return not vecs, "certified"
+    return f_injectivity_witness(graded) is None, "certified"
 
 
 def f_injectivity_witness(graded):
-    """A socle class of I_1 + J whose Frobenius image is zero, when
+    """A socle class of I_1 whose Frobenius image is zero, when
     F-injectivity fails; None otherwise.  It is sum c_i r_i for the first
-    kernel vector c of the map `is_f_injective_cm` takes the rank of."""
-    reps, vecs = _socle_frobenius_kernel(graded)
+    kernel vector c of the map `is_f_injective_cm` takes the rank of, a
+    polynomial in the module ring free of the T_i."""
+    field = graded.ring.field
+    reps, images = graded.level_one_socle()
+    columns = [{mono: c for c, mono in nf.terms} for nf in images]
+    vecs = kernel(rows_from_columns(columns, field), field, ncols=len(reps))
     return _combine(vecs[0], reps, graded.ring) if vecs else None
-
-
-def _socle_frobenius_kernel(graded):
-    """The socle representatives r_i of I_1 + J and a kernel basis of
-    c -> NF(sum c_i r_i^p) mod I_1^[p] + J."""
-    ring = graded.ring
-    reps = graded.socle_of_truncation(1)
-    B = bracket_power(Ideal(ring, graded.sop), 1, graded.relations)
-    columns = [{mono: c for c, mono in B.normal_form(r.frobenius(1)).terms} for r in reps]
-    return reps, kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
 
 
 def is_f_stable_certified(graded):
@@ -182,8 +176,8 @@ class SocleCandidate:
     """A level-1 socle class in the stable part of Frobenius on V^inf.
 
     Its annihilator chain is m at every e, by the fixpoint and not by a
-    window, so `limit` is the maximal ideal and the status is stabilized.
-    """
+    window, so `limit` is m, and the status is stabilized; both in the
+    user's ring."""
 
     level: int
     element: object
@@ -217,22 +211,21 @@ def socle_stability_search(graded):
     """Socle classes whose annihilator chain stays at m: a basis of the
     stable part of Frobenius on V^inf.  Exact on a verified CM ring.
 
-    Take socle representatives r_1..r_s of I_1 + K, u = sum c_i r_i and
-    B_e = I_1^[q] + K with q = p^e.  V^(e) is the set of u with
+    Take socle representatives r_1..r_s of I_1, u = sum c_i r_i and
+    B_e = I_1^[q] = I_q with q = p^e.  V^(e) is the set of u with
     m * u^(p^k) in B_k for every k <= e.  It is linear in c, since
     c^p = c over F_p: the kernel of the stacked normal forms of
     x_j * NF_{B_k}(r_i^(p^k)), k = 1..e (V^(0) is the whole socle).
     Levels t >= 2 add nothing: on a CM ring socle(R/I_t) is
-    (x_1...x_d)^(t-1) * socle(R/I_1), and corresponding classes have
-    the same colon ideals because the x_i^q form a regular sequence.
+    (T_1...T_d)^(t-1) * socle(R/I_1), and corresponding classes have
+    the same colon ideals because the T_i^q form a regular sequence.
 
     V^(e+1) = {u : F(u) in V^(e)}, so the first e with dim V^(e) =
     dim V^(e-1) gives V^inf, within s steps, and F maps V^inf into
     itself.  For v in V^inf, F(v) = sum v_i NF_{B_1}(r_i^p) is a socle
-    class at level p.  It is solved against the lifted socle
-    NF_{B_1}((x_1...x_d)^(p-1) r_j), independent because the transition
-    maps are injective, and rewritten in V^inf's basis; a rank or solve
-    failure raises.  Every nonzero class of the stable part has F^e(u)
+    class at level p.  It is solved against the lifted basis of V^inf,
+    times (T_1...T_d)^(p-1) and already in normal form modulo B_1; a
+    solve failure raises.  Every nonzero class of the stable part has F^e(u)
     nonzero and killed by m for every e, so its chain is m throughout.
     Conversely a class with that chain lies in V^inf outside the
     nilpotent part, so such a class exists exactly when the stable part
@@ -241,17 +234,16 @@ def socle_stability_search(graded):
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("the socle route requires a verified CM gate")
     ring = graded.ring
-    reps = graded.socle_of_truncation(1)
-    I = Ideal(ring, graded.sop)
-    vecs, images = _socle_fixpoint(I, graded.relations, reps)
+    reps, images = graded.level_one_socle()
+    vecs = _socle_fixpoint(graded, reps, images)
     candidates = []
     if vecs:
-        B = bracket_power(I, 1, graded.relations)
-        op = _frobenius_on_fixpoint(graded, B, reps, vecs, images)
+        op = _frobenius_on_fixpoint(graded, reps, vecs, images)
         basis = [_combine(v, reps, ring) for v in vecs]
-        m = graded.maximal_ideal()
+        m = Ideal(graded.user_ring, graded.user_ring.gens(), reduced=True)
         for y in op.stable_part().rows:
-            candidates.append(SocleCandidate(1, _combine(y, basis, ring), m))
+            u = graded.to_user(_combine(y, basis, ring))
+            candidates.append(SocleCandidate(1, u, m))
     return SocleSearchReport(candidates, len(reps))
 
 
@@ -262,68 +254,58 @@ def _combine(coeffs, polys, ring):
     return out
 
 
-def _socle_fixpoint(I, relations, reps):
+def _socle_fixpoint(graded, reps, images):
     """A basis of V^inf, the kernel of c -> (x_j * (sum c_i r_i)^q mod
-    I^[q] + K) over all variables x_j and q = p^e, e = 1, 2, ... up to
-    the first e at which the kernel stops shrinking or vanishes; and the
-    normal forms of r_i^p mod I^[p] + K.
+    I_q) over all variables x_j and q = p^e, e = 1, 2, ... up to the
+    first e at which the kernel stops shrinking or vanishes; `images`
+    are the normal forms of r_i^p mod I_p.
 
-    Each power is carried forward from the last one: with B_e =
-    I^[q] + K, NF_{B_e}(r^q) = NF_{B_e}(NF_{B_(e-1)}(r^(q/p))^p).  This is
-    exact because r^(q/p) = NF + b with b in B_(e-1), Frobenius is
-    additive, and B_(e-1)^[p] lies in B_e (K^[p] lies in K); the normal
-    form modulo a reduced Groebner basis is unique, and the socle
-    representatives are already reduced modulo B_0 = I + K.  So each
+    Each power is carried forward from the last one: with B_e = I_q,
+    NF_{B_e}(r^q) = NF_{B_e}(NF_{B_(e-1)}(r^(q/p))^p).  This is exact
+    because r^(q/p) = NF + b with b in B_(e-1), Frobenius is additive,
+    and B_(e-1)^[p] lies in B_e (K'^[p] lies in K'); the normal form
+    modulo a reduced Groebner basis is unique, and the socle
+    representatives are already reduced modulo B_0 = I_1.  So each
     reduction starts from degree p * deg(NF), not from q * deg(r).
     """
-    ring = I.ring
+    ring = graded.ring
     columns = [{} for _ in reps]
-    nfs = reps
+    nfs = images
     dim = len(reps)
     for e in itertools.count(1):
-        B = bracket_power(I, e, relations)
-        nfs = [B.normal_form(nf.frobenius(1)) for nf in nfs]
-        if e == 1:
-            images = nfs
+        B = graded.truncation_ideal(graded.p**e)
+        if e > 1:
+            nfs = [B.normal_form(nf.frobenius(1)) for nf in nfs]
         for col, nf in zip(columns, nfs):
-            # x_j * (r^q - NF(r^q)) lies in B, so reducing x_j * NF(r^q) suffices
-            for j, x in enumerate(ring.gens()):
+            # x_j * (r^q - NF(r^q)) lies in B; the user's x_j generate m mod K'
+            for j, x in enumerate(ring.gens()[: graded.user_ring.nvars]):
                 for c, mono in B.normal_form(x * nf).terms:
                     col[(e, j, mono)] = c
         vecs = kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
         if not vecs or len(vecs) == dim:
-            return vecs, images
+            return vecs
         dim = len(vecs)
 
 
-def _frobenius_on_fixpoint(graded, B, reps, vecs, images):
+def _frobenius_on_fixpoint(graded, reps, vecs, images):
     """Frobenius on V^inf, with basis `vecs`, as a semilinear operator.
 
     Column a holds the coordinates of F(vecs[a]) = sum_i vecs[a][i] *
-    images[i], a class at level p, first in the lifted socle
-    NF_B((x_1...x_d)^(p-1) r_j), B = I_1^[p] + K, then in `vecs`.
+    images[i], a class at level p, in the lifted basis (T_1...T_d)^(p-1) *
+    sum_i vecs[b][i] r_i.  The r_i are free of the T_i and standard
+    modulo I_1, so the lifted basis is in normal form modulo I_p and as
+    independent as `vecs`.
     """
     ring, fp = graded.ring, graded.ring.field
-    s, k = len(reps), len(vecs)
-    # the multiplier is reduced one parameter at a time, so that nothing
-    # is expanded in the polynomial ring; NF(b*NF(s)) = NF(b*s)
-    shift = ring.one()
-    for _ in range(graded.p - 1):
-        for x in graded.sop:
-            shift = B.normal_form(shift * x)
-    polys = [B.normal_form(shift * r) for r in reps]
+    k = len(vecs)
+    shift = graded.sop_product() ** (graded.p - 1)
+    polys = [shift * _combine(v, reps, ring) for v in vecs]
     polys += [_combine(v, images, ring) for v in vecs]
     rows = rows_from_columns([{mono: c for c, mono in f.terms} for f in polys], fp)
-    lifted = [row[:s] for row in rows]
-    if rank(lifted, fp) != s:
-        raise InconsistencyError("the lifted socle is not independent at level p")
-    in_vecs = [[v[i] for v in vecs] for i in range(s)]
+    lifted = [row[:k] for row in rows]
     columns = []
     for a in range(k):
-        w = solve(lifted, [row[s + a] for row in rows], fp)
-        if w is None:
-            raise InconsistencyError("Frobenius image of V^inf outside the lifted socle")
-        y = solve(in_vecs, w, fp)
+        y = solve(lifted, [row[k + a] for row in rows], fp)
         if y is None:
             raise InconsistencyError("Frobenius image of V^inf outside V^inf")
         columns.append(y)
@@ -550,7 +532,7 @@ def validate_minimal_primes(graded):
     primes = graded.minimal_primes
     if not primes:
         raise InputError("minimal_primes are required for the component check")
-    rel = graded.relations
+    rel = graded.user_relations
     for P in primes:
         for g in rel.gens:
             if not P.contains(g):
@@ -587,7 +569,7 @@ def connected_components_check(graded, stable_dim):
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("component check requires the CM gate")
     primes = validate_minimal_primes(graded)
-    ring = graded.ring
+    ring = graded.user_ring
     n = len(primes)
     adj = {i: set() for i in range(n)}
     for i in range(n):

@@ -184,6 +184,86 @@ def dense_socle_oracle(ideal):
     return out
 
 
+def colon_cm_oracle(graded):
+    """The colon CM gate in the user's ring: the sop theta_1..theta_d is a
+    regular sequence modulo K exactly when every colon
+    (K + (theta_1..theta_(k-1))) : theta_k equals K + (theta_1..theta_(k-1))."""
+    base = list(graded.user_relations.gens)
+    for x in graded.user_sop:
+        ideal = Ideal(graded.user_ring, base)
+        if not ideal.contains_ideal(ideal.colon(x)):
+            return False
+        base.append(x)
+    return True
+
+
+def random_small_ring(seed):
+    """A ring-file dict over F_2 or F_3 in a, b, c: one to three quadratic
+    monomials or binomials and one or two random linear forms as the sop,
+    which need not cut the ring down to dimension zero."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3))
+    names = ("a", "b", "c")
+
+    def mono():
+        e = [0, 0, 0]
+        for _ in range(2):
+            e[rng.randrange(3)] += 1
+        return "*".join(f"{v}^{x}" for v, x in zip(names, e) if x)
+
+    relations = [
+        mono() if rng.random() < 0.6 else f"{mono()} - {mono()}"
+        for _ in range(rng.randint(1, 3))
+    ]
+    sop = [
+        " + ".join(f"{rng.randrange(p)}*{v}" for v in names) for _ in range(rng.randint(1, 2))
+    ]
+    return {"char": p, "vars": list(names), "relations": relations, "sop": sop}
+
+
+# --- Fedder's criterion, by dict arithmetic alone ------------------------------------
+
+
+def random_hypersurface(n, d, p, seed):
+    """A ring-file dict for F_p[x0..x(n-2), z]/(f): f = z^d plus six seeded
+    monomials of degree d with nonzero coefficients, and the sop x0..x(n-2).
+    The free variable z is last.  Returns (ring dict, f as {exponents: c})."""
+    rng = random.Random(seed)
+    names = tuple(f"x{i}" for i in range(n - 1)) + ("z",)
+    monos = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
+    f = {(0,) * (n - 1) + (d,): 1}
+    for e in rng.sample(monos, 6):
+        f[e] = rng.randrange(1, p)
+    text = " + ".join(
+        "*".join([str(c)] * (c != 1) + [v if x == 1 else f"{v}^{x}" for v, x in zip(names, e) if x])
+        for e, c in sorted(f.items(), reverse=True)
+    )
+    ring = {
+        "name": f"hypersurface_n{n}_d{d}_p{p}",
+        "char": p,
+        "vars": list(names),
+        "relations": [text],
+        "sop": list(names[:-1]),
+    }
+    return ring, f
+
+
+def fedder_f_injective(f, p):
+    """Fedder (1983): F_p[x]/(f) is F-pure, for a hypersurface the same as
+    F-injective, exactly when f^(p-1) is not in m^[p] = (x_i^p), that is
+    when some term of f^(p-1) has every exponent below p.  `f` is a dict
+    {exponent tuple: coefficient}."""
+    power = {tuple(0 for _ in next(iter(f))): 1}
+    for _ in range(p - 1):
+        acc = {}
+        for e1, c1 in power.items():
+            for e2, c2 in f.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                acc[e] = (acc.get(e, 0) + c1 * c2) % p
+        power = {e: c for e, c in acc.items() if c}
+    return any(all(x < p for x in e) for e in power)
+
+
 def small_ring(p=2, names=("a", "b")):
     return PolyRing(PrimeField(p), names)
 

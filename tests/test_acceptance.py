@@ -122,7 +122,7 @@ def test_criterion_04_one_dimensional_domain_consistency(zoo_rings, zoo_reports)
         assert f * f != Fa.parse("a^3")
     # not regular: both generators of the maximal ideal survive in m/m^2
     # because every relation is concentrated in degrees >= 2
-    for g in cusp.relations.gens:
+    for g in cusp.user_relations.gens:
         assert all(sum(e) >= 2 for _c, e in g.terms)
     assert zoo_reports["cusp_p2"].f_injective[0] is False
     ok(4, "cusp: 1-dim graded domain, not regular, reported not F-injective")
@@ -254,8 +254,9 @@ def test_criterion_09_annihilator_survey_bounded(zoo_rings):
     assert survey.samples >= 10
     assert survey.distinct_count() <= 4
     assert survey.radical_checks > 0  # a violation would have raised
+    # the maximal ideal of the module ring, which adjoins T1 = a + b
     ring = zoo_rings["lines2_p2"].ring
-    m_key = tuple(Ideal.parse(ring, ["a", "b"]).canonical_strings())
+    m_key = tuple(Ideal.parse(ring, ["a", "b", "T1"]).canonical_strings())
     assert m_key in survey.stabilized_limits
     ok(9, f"{survey.distinct_count()} distinct limits (<= 4), radical checks clean")
 

@@ -15,7 +15,7 @@ from frobstab.groebner import (
     set_cache_dir,
     socle_basis,
 )
-from frobstab.poly import GREVLEX, PolyRing, elim_order, mono_divides
+from frobstab.poly import GREVLEX, MonomialOrder, PolyRing, elim_order, mono_divides
 
 from helpers import (
     MacaulayOracle,
@@ -493,6 +493,26 @@ def test_disk_cache_round_trip(tmp_path):
         clear_memory_cache()
         J = ideal(["a^2 + b", "b^2"])
         assert J.canonical_strings() == first
+    finally:
+        set_cache_dir(None)
+        clear_memory_cache()
+
+
+def test_cache_keys_tell_weighted_orders_apart(tmp_path):
+    # the generators print alike under both orders, but with deg z = 2 the
+    # third basis element is led by z^3*y instead of z^2*y^3; a cache key
+    # without the weights would hand the weighted ring the plain basis
+    set_cache_dir(str(tmp_path))
+    clear_memory_cache()
+    gens = ["2*z^2*x^2 + z^2*y", "x^2*y^2 + 2*z*y"]
+    common = ["x^2*y^2 + 2*z*y", "z^2*x^2 + 2*z^2*y"]
+    try:
+        plain = PolyRing(PrimeField(3), ("z", "x", "y"))
+        weighted = PolyRing(PrimeField(3), ("z", "x", "y"), MonomialOrder("grevlex", weights=(2, 1, 1)))
+        assert Ideal.parse(plain, gens).canonical_strings() == common + ["z^2*y^3 + 2*z^3*y"]
+        for _ in range(2):  # computed, then read back from the disk
+            assert Ideal.parse(weighted, gens).canonical_strings() == common + ["z^3*y + 2*z^2*y^3"]
+            clear_memory_cache()
     finally:
         set_cache_dir(None)
         clear_memory_cache()

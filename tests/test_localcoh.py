@@ -105,11 +105,12 @@ def test_check_cm_failure_with_witness():
 
 
 def test_truncation_ideal_examples(poly1, lines2):
-    assert poly1.truncation_ideal(3).canonical_strings() == ["a^3"]
+    # the module ring adjoins T1 = the sop element: a = T1 modulo K'
+    assert poly1.truncation_ideal(3).canonical_strings() == ["a + T1", "T1^3"]
     I2 = lines2.truncation_ideal(2)
     from frobstab.groebner import Ideal
 
-    assert I2.equals(Ideal.parse(lines2.ring, ["a*b", "(a+b)^2"]))
+    assert I2.equals(Ideal.parse(lines2.ring, ["a*b", "(a+b)^2", "T1 - a - b"]))
     assert len(I2.staircase()) == 4  # {1, a, b, a^2-or-b^2 class}
 
 
@@ -149,7 +150,8 @@ def test_class_lift_associativity(lines2):
     rng = seeded(5)
     for _ in range(20):
         terms = {
-            (rng.randint(0, 2), rng.randint(0, 2)): rng.randint(0, 1) for _ in range(3)
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): rng.randint(0, 1)
+            for _ in range(3)
         }
         z = lines2.ring.from_dict(terms)
         eta = lines2.cohomology_class(z, 1)
@@ -227,9 +229,9 @@ def test_degree_zero_two_lines(lines2):
     piece = lines2.degree_zero_piece()
     assert piece.level == 1
     assert len(piece) == 1
-    # the basis class is the pure power b^t (a^t reduces to it)
+    # the basis class is b*T1^(t-1): a reduces to T1 - b, and b^2 to b*T1
     (mono,) = piece.basis
-    assert mono == (0, piece.level)
+    assert mono == (0, 1, piece.level - 1)
 
 
 def test_degree_zero_three_lines(lines3):
@@ -241,7 +243,7 @@ def test_degree_zero_three_lines(lines3):
 def _degree_zero_dims(ring, levels):
     degsum = ring.degree_sum()
     return [
-        len(ring.truncation_ideal(t).staircase(weights=ring.degrees, degree=t * degsum))
+        len(ring.truncation_ideal(t).staircase(weights=ring.weights, degree=t * degsum))
         for t in levels
     ]
 

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frobstab.errors import ContextMismatchError, ParseError
+import frobstab._kernel as kernel
+from frobstab._kernel import _ref
+from frobstab.errors import ContextMismatchError, InputError, ParseError
 from frobstab.field import PrimeField
-from frobstab.poly import GREVLEX, LEX, PolyRing, elim_order
+from frobstab.poly import GREVLEX, LEX, MonomialOrder, PolyRing, elim_order
 
 from helpers import naive_mul, naive_pow, random_poly, seeded
 
@@ -89,6 +91,20 @@ def test_context_mismatch_raises():
         ring(p=2).parse("a") * ring(p=2, names=("a", "c")).parse("a")
 
 
+@pytest.mark.parametrize("impl", ["python", "c"])
+def test_from_dict_rejects_bad_exponent_vectors(monkeypatch, impl):
+    # a short exponent vector once reached the C product kernel and crashed it
+    if impl == "c":
+        fast = pytest.importorskip("frobstab._kernel._speedups")
+    for name in ("add_terms", "mul_terms", "divmod_terms"):
+        monkeypatch.setattr(kernel, name, getattr(_ref if impl == "python" else fast, name))
+    R = ring(p=3, names=("a", "b", "c"))
+    for bad in ({(1, 2): 1}, {(1, 2, 0, 0): 1}, {(1, -1, 0): 2}):
+        with pytest.raises(InputError):
+            R.from_dict(bad) * R.parse("a+b+c")
+    assert R.from_dict({(1, 2, 0): 4}) == R.parse("a*b^2")
+
+
 # --- frobenius powers -----------------------------------------------------------
 
 
@@ -139,6 +155,20 @@ def test_homogeneous_degree(text, weights, expected):
 
 
 # --- monomial orders -------------------------------------------------------------
+
+
+def test_weighted_grevlex_compares_weights_then_reverse_lex():
+    R = ring(p=2, names=("z", "x", "T"), order=MonomialOrder("grevlex", weights=(8, 1, 1)))
+    # z of weight 8 outweighs x^7; z^2 and x^16 weigh the same, and the tie
+    # goes to the monomial with less of the later variables, as does T^2
+    assert R.key((1, 0, 0)) > R.key((0, 7, 0))
+    assert str(R.parse("x^16 + z^2")) == "z^2 + x^16"
+    assert str(R.parse("T^2 + x*T + x^2")) == "x^2 + x*T + T^2"
+    with pytest.raises(InputError):
+        ring(names=("a", "b"), order=MonomialOrder("lex", weights=(1, 1)))
+    for weights in ((1,), (1, 0)):
+        with pytest.raises(InputError):
+            ring(names=("a", "b"), order=MonomialOrder("grevlex", weights=weights))
 
 
 def test_grevlex_vs_lex_leading_terms():

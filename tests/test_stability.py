@@ -10,6 +10,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import frobstab.groebner as groebner
+
 import frobstab.frobenius as frobenius
 import frobstab.stability as stability
 from frobstab.cli import main, zoo_row
@@ -36,7 +38,15 @@ from frobstab.stability import (
     socle_stability_search,
 )
 
-from helpers import brute_force_socle_candidates, random_poly, seeded
+from helpers import (
+    brute_force_socle_candidates,
+    colon_cm_oracle,
+    fedder_f_injective,
+    random_hypersurface,
+    random_poly,
+    random_small_ring,
+    seeded,
+)
 
 ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -89,14 +99,15 @@ def cusp():
 
 
 def test_chain_two_lines_socle_gives_m(lines2):
+    # in the module ring, where the sop is T1 = a + b
     chain = frobenius_colon_chain(lines2, lines2.sop, lines2.ring.parse("a"))
     assert chain.status == CHAIN_STABILIZED
-    assert chain.limit.equals(Ideal.parse(lines2.ring, ["a", "b"]))
+    assert chain.limit.equals(Ideal.parse(lines2.ring, ["a", "b", "T1"]))
     assert chain.descending_verified
     # brute-force cross-check of the first few colons
     for e in range(3):
         q = 2**e
-        B = Ideal.parse(lines2.ring, [f"(a+b)^{q}", "a*b"])
+        B = Ideal.parse(lines2.ring, [f"(a+b)^{q}", "a*b", "T1 - a - b"])
         C = B.colon(lines2.ring.parse("a") ** q)
         assert C.equals(chain.ideals[min(e, len(chain.ideals) - 1)])
 
@@ -105,9 +116,10 @@ def test_chain_colon_of_one_never_stabilizes(poly1):
     chain = frobenius_colon_chain(poly1, poly1.sop, poly1.ring.one())
     assert chain.status == CHAIN_NOT_STABILIZED
     assert chain.upper_bound_only
-    # strictly descending powers (a), (a^2), (a^4), ...
+    # strictly descending powers (a), (a^2), (a^4), ..., with T1 = a
     for e, J in enumerate(chain.ideals):
-        assert J.canonical_strings() == [f"a^{2**e}" if e else "a"]
+        assert J.equals(Ideal.parse(poly1.ring, [f"a^{2**e}", "T1 - a"]))
+        assert J.canonical_strings() == (["a + T1", f"T1^{2**e}"] if e else ["T1", "a"])
     assert chain.descending_verified
 
 
@@ -124,7 +136,7 @@ def test_chain_monotone_in_the_numerator(lines2):
     base = frobenius_colon_chain(lines2, lines2.sop, x)
     for _ in range(10):
         terms = {
-            (rng.randint(0, 1), rng.randint(0, 1)): rng.randint(0, 1) for _ in range(2)
+            (rng.randint(0, 1), rng.randint(0, 1), 0): rng.randint(0, 1) for _ in range(2)
         }
         r = lines2.ring.from_dict(terms)
         if r.is_zero() or (r * x).is_zero():
@@ -220,7 +232,7 @@ def test_socle_search_two_lines_finds_candidate(lines2):
     assert report.found()
     cand = report.candidates[0]
     assert cand.level == 1
-    assert cand.limit.equals(lines2.maximal_ideal())
+    assert cand.limit.equals(Ideal.parse(lines2.user_ring, ["a", "b"]))
 
 
 def test_socle_search_poly_ring_finds_nothing(poly1):
@@ -285,6 +297,124 @@ def _parity_ring(name):
     return make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
 
 
+# --- the leads CM gate and the truncation bases it vouches for -------------------------
+
+DATA_NAMES = sorted(f[:-5] for f in os.listdir(DATA) if f.endswith(".json"))
+COMMITTED = [f"zoo:{name}" for name in ZOO_NAMES] + [f"data:{name}" for name in DATA_NAMES]
+NOT_CM = {"a2_ab_p3": (3, ("a", "b"), (1, 1), ["a^2", "a*b"], ["b"])}
+
+
+def _gate_ring(key):
+    kind, name = key.split(":")
+    if kind == "zoo":
+        return _zoo_ring(name)
+    if kind == "data":
+        with open(os.path.join(DATA, name + ".json")) as fh:
+            return GradedRing.from_dict(json.load(fh))
+    return make(*{**PARITY_EXTRA, **NOT_CM}[name])
+
+
+def _check_gate_against_colons(graded):
+    status, witness = graded.check_cm()
+    assert (status == "verified") == colon_cm_oracle(graded)
+    assert (witness is None) == (status == "verified")
+    if witness is not None:
+        # in the user's ring the witness h breaks one colon: for some k,
+        # h * theta_k lies in K + (theta_(k+1)..theta_d) and h does not
+        h, user = graded.to_user(witness), graded.user_ring
+        broken = []
+        for k, x in enumerate(graded.user_sop):
+            J = Ideal(user, list(graded.user_relations.gens) + list(graded.user_sop[k + 1 :]))
+            broken.append(J.contains(h * x) and not J.contains(h))
+        assert any(broken)
+
+
+def _check_truncations_against_buchberger(graded):
+    # the vouched basis G (terms T_i^t divides dropped) + T_i^t against a
+    # Buchberger run on the generators K' + (T_i^t)
+    for t in sorted({1, 2, graded.p}):
+        gens = list(graded.relations.gens) + [T**t for T in graded.sop]
+        expected = Ideal(graded.ring, gens).canonical_strings()
+        assert graded.truncation_ideal(t).canonical_strings() == expected
+
+
+GATE_RINGS = COMMITTED + [f"extra:{name}" for name in sorted(PARITY_EXTRA) + sorted(NOT_CM)]
+
+
+@pytest.mark.parametrize("key", GATE_RINGS)
+def test_leads_cm_gate_and_truncations_match_colons_and_buchberger(key):
+    graded = _gate_ring(key)
+    _check_gate_against_colons(graded)
+    if graded.cm_status == "verified":
+        _check_truncations_against_buchberger(graded)
+    assert graded.cm_status == ("failed" if key in ("data:two_planes_p3", "extra:a2_ab_p3") else "verified")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_leads_cm_gate_and_truncations_on_small_rings(seed):
+    try:
+        graded = GradedRing.from_dict(random_small_ring(seed))
+    except InputError:
+        return  # the random sop does not cut the ring down to dimension zero
+    _check_gate_against_colons(graded)
+    if graded.cm_status == "verified":
+        _check_truncations_against_buchberger(graded)
+
+
+@pytest.mark.parametrize("key", COMMITTED)
+def test_one_buchberger_run_per_ring_and_none_in_the_phases(monkeypatch, key):
+    runs = []
+    buchberger = groebner._buchberger
+
+    def counted(ring, gens, *caps):
+        runs.append(sorted(map(str, gens)))
+        return buchberger(ring, gens, *caps)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    monkeypatch.setattr(groebner, "_cache_dir", None)
+    groebner.clear_memory_cache()
+    graded = _gate_ring(key)
+    status, _witness = graded.check_cm()
+    if status != "verified":
+        # the sop check completes G and the T_i in a second run
+        assert len(runs) == 2
+        return
+    assert runs == [sorted(map(str, graded.relations.gens))]
+    is_f_injective_cm(graded)
+    is_f_stable_certified(graded)
+
+    def certified_route(*_args):
+        raise AssertionError("the socle route must not use the certified route's carrier")
+
+    # the two routes share level_one_socle() but stay independent
+    monkeypatch.setattr(GradedRing, "degree_zero_piece", certified_route)
+    monkeypatch.setattr(GradedRing, "frobenius_matrix", certified_route)
+    socle_stability_search(graded)
+    assert len(runs) == 1
+
+
+# Fedder on hypersurfaces with the free variable z last, the order in which
+# every bracket power once needed its own Buchberger run
+FEDDER_TIER = [
+    (3, 3, 2), (3, 3, 5), (3, 3, 7), (3, 4, 3), (3, 4, 5), (3, 5, 2), (3, 5, 3),
+    (3, 6, 7), (4, 3, 2), (4, 3, 5), (4, 4, 3), (4, 4, 5), (4, 5, 5), (4, 5, 7),
+]
+
+
+@pytest.mark.parametrize("n,d,p", FEDDER_TIER, ids=lambda v: str(v))
+def test_f_injectivity_matches_fedder_on_free_variable_last_hypersurfaces(n, d, p):
+    ring, f = random_hypersurface(n, d, p, seed=100 * n + 10 * d + p)
+    report = f_stability(GradedRing.from_dict(ring))
+    assert report.f_injective == (fedder_f_injective(f, p), "certified")
+
+
+def test_committed_hypersurface_is_the_fedder_tier_ring():
+    ring, _f = random_hypersurface(4, 5, 7, seed=457)
+    with open(os.path.join(DATA, "hypersurface_n4_d5_p7.json")) as fh:
+        assert json.load(fh) == ring
+
+
 @pytest.mark.parametrize("name", sorted(set(ZOO_NAMES) | set(PARITY_EXTRA) | set(CUBICS)))
 def test_f_injectivity_matches_closure_test(name):
     graded = _parity_ring(name)
@@ -310,15 +440,17 @@ def test_socle_search_matches_brute_force(name):
     brute = brute_force_socle_candidates(graded, RunConfig())
     assert report.found() == bool(brute)
     assert all(c.level == 1 for c in report.candidates)
-    assert {c.element for c in report.candidates} <= set(brute)
+    # candidates are printed in the user's ring, the brute force runs in the module's
+    assert {c.element for c in report.candidates} <= {graded.to_user(u) for u in brute}
 
 
 @pytest.mark.parametrize("level", [2, 1, 3])
 @pytest.mark.parametrize("name", PARITY_ZOO + sorted(PARITY_EXTRA))
 def test_socle_candidate_chains_match_colon_chains(name, level):
     # the fixpoint claims C_e = m at every e; the colon loop checks it for
-    # e <= s + 2, at level 1 and on the candidate's image (x_1...x_d)^(t-1) u
-    # at level t, whose chain is the same because the x_i^q are regular
+    # e <= s + 2, at level 1 and on the candidate's image (T_1...T_d)^(t-1) u
+    # at level t, whose chain is the same because the T_i^q are regular;
+    # the chains run in the module ring, the candidate is printed in the user's
     graded = make(*PARITY_EXTRA[name]) if name in PARITY_EXTRA else _zoo_ring(name)
     graded.check_cm()
     report = socle_stability_search(graded)
@@ -326,12 +458,15 @@ def test_socle_candidate_chains_match_colon_chains(name, level):
     cfg = RunConfig(e_max=e_max, window=e_max)
     params = [x**level for x in graded.sop]
     lift = graded.sop_product() ** (level - 1)
+    user_m = Ideal(graded.user_ring, graded.user_ring.gens())
     for cand in report.candidates:
-        real = frobenius_colon_chain(graded, params, cand.element * lift, cfg)
+        u = graded.ring.from_other(cand.element)
+        real = frobenius_colon_chain(graded, params, u * lift, cfg)
         assert len(real.ideals) == e_max + 1
-        assert all(C.equals(cand.limit) for C in real.ideals)
+        assert all(C.equals(graded.maximal_ideal()) for C in real.ideals)
         assert cand.to_json()["status"] == real.status == CHAIN_STABILIZED
-        assert cand.to_json()["limit"] == real.limit.canonical_strings()
+        assert cand.limit.equals(user_m)
+        assert cand.to_json()["limit"] == user_m.canonical_strings()
 
 
 # Fedder: the Fermat cubic is ordinary (F-pure, stable_dim 1) iff p = 1
@@ -399,21 +534,23 @@ def test_socle_route_reduces_no_full_frobenius_power(monkeypatch):
     assert max(largest) == 2 * p
 
 
-def _count_bracket_exponents(monkeypatch):
-    """The exponents e of the socle route's `bracket_power` calls."""
-    exponents = []
+def _count_truncation_levels(monkeypatch):
+    """The levels t of the `truncation_ideal` calls."""
+    levels = []
+    truncation_ideal = GradedRing.truncation_ideal
 
-    def counted(I, e, relations=None):
-        exponents.append(e)
-        return bracket_power(I, e, relations)
+    def counted(self, t):
+        levels.append(t)
+        return truncation_ideal(self, t)
 
-    monkeypatch.setattr(stability, "bracket_power", counted)
-    return exponents
+    monkeypatch.setattr(GradedRing, "truncation_ideal", counted)
+    return levels
 
 
 def test_socle_route_works_at_level_one_and_frobenius_exponent_one(monkeypatch):
     # on the cubic in order (x, y, z) the fixpoint comes at e = 1, so the
-    # route reads socle(R/I_1) and the bracket power I_1^[p] + K and nothing else
+    # route reads socle(R/I_1) and the bracket power I_1^[p] = I_p and
+    # nothing else
     with open(os.path.join(DATA, "cubic_xyz_p7.json")) as fh:
         graded = GradedRing.from_dict(json.load(fh))
     graded.check_cm()
@@ -425,11 +562,11 @@ def test_socle_route_works_at_level_one_and_frobenius_exponent_one(monkeypatch):
         return socle_of_truncation(self, t)
 
     monkeypatch.setattr(GradedRing, "socle_of_truncation", counted_socle)
-    exponents = _count_bracket_exponents(monkeypatch)
+    truncations = _count_truncation_levels(monkeypatch)
     report = socle_stability_search(graded)
     assert report.found() and report.examined == 1
     assert levels == [1]
-    assert exponents and max(exponents) <= 1
+    assert set(truncations) == {1, graded.p}
 
 
 def test_socle_route_runs_to_the_fixpoint_past_e_one(monkeypatch):
@@ -449,9 +586,9 @@ def test_socle_route_runs_to_the_fixpoint_past_e_one(monkeypatch):
                     col[(e, j, mono)] = c
         dims.append(len(kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))))
     assert dims == [2, 1, 1, 1]
-    exponents = _count_bracket_exponents(monkeypatch)
+    truncations = _count_truncation_levels(monkeypatch)
     report = socle_stability_search(graded)
-    assert max(exponents) == 2
+    assert max(truncations) == graded.p**2
     # Frobenius is nilpotent on that V^inf: the ring is not F-injective
     assert not report.found() and report.examined == 2
     assert is_f_injective_cm(graded) == (False, "certified")
@@ -474,7 +611,7 @@ def test_socle_search_reports_a_basis_per_level():
     assert [c.level for c in report.candidates] == [1]
     for c in report.candidates:
         assert c.to_json()["status"] == CHAIN_STABILIZED
-        assert c.limit.equals(graded.maximal_ideal())
+        assert c.limit.equals(Ideal.parse(graded.user_ring, ["a", "b"]))
 
 
 def test_missing_socle_candidate_on_an_f_injective_ring_raises(monkeypatch):
@@ -608,7 +745,8 @@ def test_survey_two_lines_bounded_and_radical(lines2):
     survey = sample_frobenius_annihilators(lines2)
     assert survey.samples > 0
     assert survey.distinct_count() <= 4
-    expected_m = tuple(Ideal.parse(lines2.ring, ["a", "b"]).canonical_strings())
+    # the maximal ideal of the module ring, which adjoins T1 = a + b
+    expected_m = tuple(Ideal.parse(lines2.ring, ["a", "b", "T1"]).canonical_strings())
     assert expected_m in survey.stabilized_limits
     assert survey.radical_checks > 0
 
@@ -621,7 +759,7 @@ def test_survey_requires_f_injectivity(cusp):
 def test_prime_candidates_two_lines(lines2):
     cands = annihilator_prime_candidates(lines2)
     ideals = [tuple(c["ideal"]) for c in cands]
-    assert tuple(Ideal.parse(lines2.ring, ["a", "b"]).canonical_strings()) in ideals
+    assert tuple(Ideal.parse(lines2.ring, ["a", "b", "T1"]).canonical_strings()) in ideals
     for c in cands:
         assert "not exhaustive" in c["note"]
 
