@@ -36,14 +36,6 @@ def build_parser():
         description="Frobenius singularity invariants for graded quotient rings",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--emax", type=int, default=6,
-        help="chain length budget of `ideal fclosure`; no verdict reads it",
-    )
-    common.add_argument(
-        "--window", type=int, default=2,
-        help="stabilization window of `ideal fclosure`; no verdict reads it",
-    )
     common.add_argument("--json", action="store_true", help="emit a JSON report")
     common.add_argument(
         "--cache", default=None, help="GB cache directory (overrides FROBSTAB_CACHE)"
@@ -69,6 +61,8 @@ def build_parser():
     ideal.add_argument("--gens", required=True, help="comma-separated generators")
     ideal.add_argument("--poly", help="polynomial argument for member/colon")
     ideal.add_argument("--e", type=int, default=1, help="Frobenius exponent")
+    ideal.add_argument("--emax", type=int, default=6, help="chain length budget of fclosure")
+    ideal.add_argument("--window", type=int, default=2, help="stabilization window of fclosure")
 
     zoo = sub.add_parser(parents=[common], name="zoo", help="run the regression zoo")
     zoo.add_argument("--dir", default=None, help="zoo directory override")
@@ -82,9 +76,8 @@ def build_parser():
 
 def _config(args):
     cache = args.cache or os.environ.get("FROBSTAB_CACHE") or None
-    cfg = RunConfig(e_max=args.emax, window=args.window, json=args.json)
     set_cache_dir(cache)
-    return cfg
+    return RunConfig(json=args.json)
 
 
 def _load_ring(path):
@@ -188,7 +181,7 @@ def cmd_ideal(args, cfg, out):
         report["e"] = args.e
         report["result"] = frobenius_root(I, args.e, relations=relations).canonical_strings()
     elif args.op == "fclosure":
-        closure = frobenius_closure(I, cfg.e_max, cfg.window, relations=relations)
+        closure = frobenius_closure(I, args.emax, args.window, relations=relations)
         report["result"] = closure.to_json()
     _emit(report, cfg.json, out)
     return EXIT_OK
@@ -315,11 +308,7 @@ def cmd_demo(args, cfg, out):
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    try:
-        cfg = _config(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+    cfg = _config(args)
     handlers = {
         "ring-check": cmd_ring_check,
         "stability": cmd_stability,

@@ -160,7 +160,7 @@ def _interreduce(gens, ring):
     return [g for g in gens if g]
 
 
-def _buchberger(ring, gens, pair_cap, degree_cap):
+def _buchberger(ring, gens, pair_cap):
     import heapq
 
     G = []
@@ -173,7 +173,7 @@ def _buchberger(ring, gens, pair_cap, degree_cap):
         return ()
     # the cap guards against runaway growth, not against legitimately
     # large inputs such as bracket powers
-    eff_cap = max(degree_cap, 2 * max(g.degree() for g in G) + 4)
+    eff_cap = max(DEFAULT_DEGREE_CAP, 2 * max(g.degree() for g in G) + 4)
     # normal selection strategy: smallest lcm in the order first, with the
     # pair index as a deterministic tie-break; keys are computed once.
     # `pairs` maps each live pair to its lcm, and a heap entry whose pair
@@ -335,13 +335,14 @@ class Ideal:
 
     # --- groebner basis -------------------------------------------------------
 
-    def groebner_basis(self, pair_cap=DEFAULT_PAIR_CAP, degree_cap=DEFAULT_DEGREE_CAP):
+    def groebner_basis(self, pair_cap=DEFAULT_PAIR_CAP):
         """The reduced Groebner basis, ascending by lead, cached.
 
         `pair_cap` bounds the S-pairs that survive the Gebauer-Moeller
-        criteria, that is the S-polynomials actually reduced; `degree_cap`
-        bounds their degrees (raised to fit bracket-power inputs).  Either
-        cap raises ResourceLimitError instead of returning a partial basis.
+        criteria, that is the S-polynomials actually reduced;
+        DEFAULT_DEGREE_CAP bounds their degrees (raised to fit bracket-power
+        inputs).  Either cap raises ResourceLimitError instead of returning
+        a partial basis.
         """
         if self._gb is not None:
             return self._gb
@@ -359,7 +360,7 @@ class Ideal:
                 self._gb = loaded
                 _memory_cache[key] = tuple(g.terms for g in loaded)
                 return self._gb
-        gb = _buchberger(self.ring, self.gens, pair_cap, degree_cap)
+        gb = _buchberger(self.ring, self.gens, pair_cap)
         self._gb = gb
         _memory_cache[key] = tuple(g.terms for g in gb)
         if _cache_dir:

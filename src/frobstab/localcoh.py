@@ -89,6 +89,10 @@ class GradedRing:
         for g in self.user_relations.gens:
             if g.homogeneous_degree(self.degrees) is None:
                 raise InputError(f"relation {g} is not homogeneous for the given weights")
+        # minimal primes of a graded ring are homogeneous
+        for P in self.minimal_primes or ():
+            if any(g.homogeneous_degree(self.degrees) is None for g in P.gens):
+                raise InputError(f"declared prime {P!r} is not homogeneous for the given weights")
         if not self.user_sop:
             raise InputError("a nonempty system of parameters is required")
         for x in self.user_sop:

@@ -30,12 +30,19 @@ being reconciled silently.  On a ring that is not F-injective the
 equivalence does not apply, and the certified `f_injective` false beside
 the verdicts says so.
 
-Annihilator chains C_e = (I^[q] + J : x^q) stop after `window`
-consecutive equality comparisons.  A chain that never stabilizes (the
-colon of 1 in a polynomial ring, for instance) is reported with its last
-element as an explicit upper bound and no limit is claimed.  The
-`window`, `e_max` and `socle_t_max` of a RunConfig drive these chains
-and the annihilator surveys; no verdict reads them.
+Annihilator chains C_e = (I_(tq) : x^q) of a level-t class, I_(tq) =
+I_t^[q] a truncation ideal, stop after `window` consecutive equality
+comparisons.  A chain that never stabilizes (the colon of 1 in a
+polynomial ring, for instance) is reported with its last element as an
+explicit upper bound and no limit is claimed.  The `window`, `e_max` and
+`socle_t_max` of a RunConfig drive these chains and the annihilator
+surveys; no verdict reads them.
+
+On a one-dimensional ring the component check compares the number of
+components of the punctured spectrum with 1 + stable_dim.  There the
+punctured spectrum is the set of minimal primes, none joined to another,
+so the check validates the declared primes as the minimal primes and
+counts them.
 """
 
 import itertools
@@ -44,7 +51,6 @@ from dataclasses import dataclass
 
 from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
-from .frobenius import bracket_power
 from .groebner import Ideal
 from .linalg import kernel, rows_from_columns, solve
 from .localcoh import CM_VERIFIED, CohomologyClass
@@ -84,20 +90,16 @@ class ChainReport:
         }
 
 
-def frobenius_colon_chain(graded, parameter_gens, x, cfg=None, expect_descending=False):
-    """The chain C_e = ((I^[p^e] + J) : x^(p^e)) for e = 0, 1, ...
+def frobenius_colon_chain(graded, level, x, cfg=None, expect_descending=False):
+    """The chain C_e = (I_(level*q) : x^q), q = p^e, for e = 0, 1, ...
 
-    `parameter_gens` generate the parameter ideal I in the quotient by
-    graded.relations; the quotient is required to be Artinian.  With
-    `expect_descending` a violation of C_{e+1} <= C_e is a hard error
-    (it contradicts F-injectivity + CM), otherwise it is only recorded.
+    I_t is the truncation ideal K' + (T_1^t..T_d^t) of `graded`, which is
+    I^[q] + K' for I = (T_1^level..T_d^level), so every B_e has its basis
+    without a Buchberger run on a CM ring.  With `expect_descending` a
+    violation of C_{e+1} <= C_e is a hard error (it contradicts
+    F-injectivity + CM), otherwise it is only recorded.
     """
     cfg = cfg or RunConfig()
-    ring = graded.ring
-    I = Ideal(ring, parameter_gens)
-    stored = Ideal(ring, I.gens + graded.relations.gens)
-    if not stored.is_artinian():
-        raise InputError("the chain needs an ideal generated by a system of parameters")
     if x.is_zero():
         raise InputError("chain element x must be nonzero")
     chain = []
@@ -105,7 +107,7 @@ def frobenius_colon_chain(graded, parameter_gens, x, cfg=None, expect_descending
     equal_run = 0
     status = CHAIN_NOT_STABILIZED
     for e in range(cfg.e_max + 1):
-        B = bracket_power(I, e, relations=graded.relations)
+        B = graded.truncation_ideal(level * graded.p**e)
         C = B.colon(x.frobenius(e))
         if chain:
             if not chain[-1].contains_ideal(C):
@@ -127,9 +129,7 @@ def frobenius_annihilator(eta, cfg=None, expect_descending=False):
     zero, _status = eta.is_zero()
     if zero:
         raise InputError("the zero class has no annihilator chain")
-    graded = eta.graded
-    params = [x ** eta.level for x in graded.sop]
-    return frobenius_colon_chain(graded, params, eta.numerator, cfg, expect_descending)
+    return frobenius_colon_chain(eta.graded, eta.level, eta.numerator, cfg, expect_descending)
 
 
 def is_f_injective_cm(graded):
@@ -527,72 +527,49 @@ def annihilator_prime_candidates(graded, cfg=None):
 # --- punctured-spectrum component count ------------------------------------------------
 
 
-def validate_minimal_primes(graded):
-    """Containment and mutual-radical validation of user-supplied primes."""
-    primes = graded.minimal_primes
-    if not primes:
-        raise InputError("minimal_primes are required for the component check")
-    rel = graded.user_relations
-    for P in primes:
-        for g in rel.gens:
-            if not P.contains(g):
-                raise InputError(f"declared prime {P!r} does not contain the relations")
-    inter = None
-    for P in primes:
-        inter = P if inter is None else inter.intersect(P)
-    for g in inter.gens:
-        if not rel.gens and not g.is_zero():
-            raise InputError("primes intersect above the zero relations ideal")
-        if rel.gens and not rel.radical_contains(g):
-            raise InputError(
-                "the intersection of the declared primes exceeds the radical "
-                "of the relations"
-            )
-    return primes
-
-
 def connected_components_check(graded, stable_dim):
     """Compare punctured-spectrum components with 1 + stable_dim.
 
     `stable_dim` is the dimension of the stable part that the certified
     route (`is_f_stable_certified`) computed; `f_stability` passes its own.
 
-    Components are computed on the graph of declared minimal primes with
-    an edge when P_i + P_j is not primary to the maximal ideal.  The
-    formula assumes an algebraically closed residue field; dimension
-    invariance of the stable part under base change is what lets the
-    F_p model stand in for that hypothesis.
+    In dimension one the punctured spectrum is the set of minimal primes,
+    no two of them joined, so the component count is the number of
+    declared primes once they are validated as the minimal primes: each
+    is homogeneous (checked at load), contains the relations and is not
+    m-primary; any two meet only at m; and their intersection lies in
+    rad K.  For homogeneous ideals m-primary means an Artinian quotient.
+    Every minimal prime of K then contains, and so equals, some declared
+    prime, and each declared prime is minimal, being one-dimensional.
+    Any failure raises InputError.  The formula assumes an algebraically
+    closed residue field; dimension invariance of the stable part under
+    base change is what lets the F_p model stand in for that hypothesis.
     """
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
     graded.check_cm()
     if graded.cm_status != CM_VERIFIED:
         raise NotSupportedError("component check requires the CM gate")
-    primes = validate_minimal_primes(graded)
-    ring = graded.user_ring
-    n = len(primes)
-    adj = {i: set() for i in range(n)}
-    for i in range(n):
-        for j in range(i + 1, n):
-            joined = Ideal(ring, primes[i].gens + primes[j].gens)
-            m_primary = all(joined.radical_contains(v) for v in ring.gens())
-            if not m_primary:
-                adj[i].add(j)
-                adj[j].add(i)
-    components = 0
-    seen = set()
-    for start in range(n):
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adj[node] - seen)
-    formula = 1 + stable_dim
+    primes = graded.minimal_primes
+    if not primes:
+        raise InputError("minimal_primes are required for the component check")
+    rel = graded.user_relations
+    for P in primes:
+        if not P.contains_ideal(rel):
+            raise InputError(f"declared prime {P!r} does not contain the relations")
+        if P.is_artinian():
+            raise InputError(f"declared prime {P!r} is not one-dimensional")
+    for P, Q in itertools.combinations(primes, 2):
+        if not Ideal(graded.user_ring, P.gens + Q.gens).is_artinian():
+            raise InputError(f"declared primes {P!r} and {Q!r} meet outside the maximal ideal")
+    inter = primes[0]
+    for P in primes[1:]:
+        inter = inter.intersect(P)
+    if not all(rel.contains(g) or rel.radical_contains(g) for g in inter.gens):
+        raise InputError(
+            "the intersection of the declared primes exceeds the radical of the relations"
+        )
+    components, formula = len(primes), 1 + stable_dim
     return {
         "components": components,
         "formula": formula,

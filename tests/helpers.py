@@ -280,9 +280,8 @@ def brute_force_socle_candidates(graded, cfg):
     ring = graded.ring
     m = Ideal(ring, ring.gens())
     reps = graded.socle_of_truncation(1)
-    params = list(graded.sop)
     closure = frobenius_closure(
-        Ideal(ring, params), cfg.e_max, cfg.window, relations=graded.relations
+        Ideal(ring, graded.sop), cfg.e_max, cfg.window, relations=graded.relations
     ).closure
     out = []
     for coeffs in itertools.product(range(ring.p), repeat=len(reps)):
@@ -291,7 +290,7 @@ def brute_force_socle_candidates(graded, cfg):
         u = ring.zero()
         for c, rep in zip(coeffs, reps):
             u = u + rep.scale(c)
-        chain = frobenius_colon_chain(graded, params, u, cfg)
+        chain = frobenius_colon_chain(graded, 1, u, cfg)
         if (
             chain.status == CHAIN_STABILIZED
             and chain.limit.equals(m)

@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 
+import pytest
+
 from frobstab.cli import main
 from frobstab.groebner import clear_memory_cache
 
@@ -95,6 +97,25 @@ def test_ideal_subcommands():
     )
     assert code == 0
     assert set(json.loads(text)["result"]["closure"]) == {"a", "b"}
+
+
+def test_chain_flags_belong_to_ideal():
+    # --emax and --window bound `ideal fclosure` only; elsewhere they are
+    # unknown arguments
+    for argv in (
+        ["stability", "--ring", ring_path("lines2_p2"), "--emax", "3"],
+        ["ring-check", "--ring", ring_path("lines2_p2"), "--window", "1"],
+        ["zoo", "--emax", "3"],
+    ):
+        with pytest.raises(SystemExit) as exited:
+            run(argv)
+        assert exited.value.code == 2
+    fclosure = ["ideal", "fclosure", "--ring", ring_path("cusp_p2"), "--gens", "a"]
+    code, text = run(fclosure + ["--emax", "1", "--window", "1", "--json"])
+    assert code == 0
+    assert set(json.loads(text)["result"]["closure"]) == {"a", "b"}
+    code, _ = run(fclosure + ["--emax", "0"])
+    assert code == 2
 
 
 def test_ideal_missing_poly_is_input_error():

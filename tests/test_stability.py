@@ -100,7 +100,7 @@ def cusp():
 
 def test_chain_two_lines_socle_gives_m(lines2):
     # in the module ring, where the sop is T1 = a + b
-    chain = frobenius_colon_chain(lines2, lines2.sop, lines2.ring.parse("a"))
+    chain = frobenius_colon_chain(lines2, 1, lines2.ring.parse("a"))
     assert chain.status == CHAIN_STABILIZED
     assert chain.limit.equals(Ideal.parse(lines2.ring, ["a", "b", "T1"]))
     assert chain.descending_verified
@@ -113,7 +113,7 @@ def test_chain_two_lines_socle_gives_m(lines2):
 
 
 def test_chain_colon_of_one_never_stabilizes(poly1):
-    chain = frobenius_colon_chain(poly1, poly1.sop, poly1.ring.one())
+    chain = frobenius_colon_chain(poly1, 1, poly1.ring.one())
     assert chain.status == CHAIN_NOT_STABILIZED
     assert chain.upper_bound_only
     # strictly descending powers (a), (a^2), (a^4), ..., with T1 = a
@@ -124,7 +124,7 @@ def test_chain_colon_of_one_never_stabilizes(poly1):
 
 
 def test_chain_with_x_inside_ideal_is_unit(lines2):
-    chain = frobenius_colon_chain(lines2, lines2.sop, lines2.ring.parse("a+b"))
+    chain = frobenius_colon_chain(lines2, 1, lines2.ring.parse("a+b"))
     assert chain.status == CHAIN_STABILIZED
     assert chain.limit.is_unit_ideal()
 
@@ -133,7 +133,7 @@ def test_chain_monotone_in_the_numerator(lines2):
     # the limit for x divides into the limit for r*x whenever both stabilize
     rng = seeded(99)
     x = lines2.ring.parse("a")
-    base = frobenius_colon_chain(lines2, lines2.sop, x)
+    base = frobenius_colon_chain(lines2, 1, x)
     for _ in range(10):
         terms = {
             (rng.randint(0, 1), rng.randint(0, 1), 0): rng.randint(0, 1) for _ in range(2)
@@ -141,7 +141,7 @@ def test_chain_monotone_in_the_numerator(lines2):
         r = lines2.ring.from_dict(terms)
         if r.is_zero() or (r * x).is_zero():
             continue
-        other = frobenius_colon_chain(lines2, lines2.sop, r * x)
+        other = frobenius_colon_chain(lines2, 1, r * x)
         if base.status == other.status == CHAIN_STABILIZED:
             assert other.limit.contains_ideal(base.limit)
 
@@ -456,12 +456,11 @@ def test_socle_candidate_chains_match_colon_chains(name, level):
     report = socle_stability_search(graded)
     e_max = report.examined + 2
     cfg = RunConfig(e_max=e_max, window=e_max)
-    params = [x**level for x in graded.sop]
     lift = graded.sop_product() ** (level - 1)
     user_m = Ideal(graded.user_ring, graded.user_ring.gens())
     for cand in report.candidates:
         u = graded.ring.from_other(cand.element)
-        real = frobenius_colon_chain(graded, params, u * lift, cfg)
+        real = frobenius_colon_chain(graded, level, u * lift, cfg)
         assert len(real.ideals) == e_max + 1
         assert all(C.equals(graded.maximal_ideal()) for C in real.ideals)
         assert cand.to_json()["status"] == real.status == CHAIN_STABILIZED
@@ -787,12 +786,57 @@ def test_components_domain_polynomial_ring():
     assert (out["components"], out["formula"], out["agree"]) == (1, 1, True)
 
 
-def test_components_validation_errors(lines2, lines3):
+def test_components_validation_errors(lines2, lines3, tmp_path):
     with pytest.raises(InputError):
         connected_components_check(make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"]), 0)
     bad = make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"], primes=[["a+b"]])
     with pytest.raises(InputError):
         connected_components_check(bad, 0)
+    # on F_3[x,y]/(xy): an m-primary ideal beside the two lines, or a
+    # duplicated line, is not a list of the minimal primes
+    for third in (["x", "y"], ["x", "y^2"], ["x"]):
+        bad = make(3, ("x", "y"), (1, 1), ["x*y"], ["x+y"], primes=[["x"], ["y"], third])
+        with pytest.raises(InputError):
+            connected_components_check(bad, 1)
+    # a non-homogeneous prime is refused at load, and the CLI exits 2
+    data = {
+        "char": 3,
+        "vars": ["x", "y"],
+        "relations": ["x*y"],
+        "sop": ["x+y"],
+        "minimal_primes": [["x"], ["y"], ["x+2", "y"]],
+    }
+    with pytest.raises(InputError, match="not homogeneous"):
+        GradedRing.from_dict(data)
+    path = tmp_path / "bad_primes.json"
+    path.write_text(json.dumps(data))
+    assert main(["stability", "--ring", str(path), "--json"], out=io.StringIO()) == 2
+
+
+def test_components_of_a_conic_split_only_over_f9():
+    # x^2 + y^2 is prime over F_3 and two lines over F_9: one component
+    # beside stable dimension 1, a disagreement reported, not raised
+    with open(os.path.join(DATA, "conic_p3.json")) as fh:
+        graded = GradedRing.from_dict(json.load(fh))
+    out = f_stability(graded).components
+    assert (out["components"], out["formula"], out["agree"]) == (1, 2, False)
+
+
+@pytest.mark.parametrize("name", [n for n in ZOO_NAMES if n.startswith("lines")])
+def test_components_of_lines_run_no_radical_test(name, monkeypatch):
+    # the lines' primes intersect to the relations themselves
+    calls = []
+    original = Ideal.radical_contains
+
+    def counted(self, f):
+        calls.append(f)
+        return original(self, f)
+
+    monkeypatch.setattr(Ideal, "radical_contains", counted)
+    graded = _zoo_ring(name)
+    n = len(graded.minimal_primes)
+    assert connected_components_check(graded, n - 1)["components"] == n
+    assert calls == []
 
 
 def test_components_rejects_higher_dimension():
