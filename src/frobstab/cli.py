@@ -11,14 +11,15 @@ import json
 import os
 import sys
 
-from .config import RunConfig
 from .errors import (
     InconsistencyError,
     InputError,
     NotSupportedError,
     ResourceLimitError,
 )
-from .frobenius import bracket_power, frobenius_closure, frobenius_root
+from .frobenius import (
+    DEFAULT_E_MAX, DEFAULT_WINDOW, bracket_power, frobenius_closure, frobenius_root
+)
 from .groebner import Ideal, set_cache_dir
 from .imperfect import build_example_extension, find_nilpotent_in_tensor
 from .localcoh import GradedRing
@@ -61,8 +62,12 @@ def build_parser():
     ideal.add_argument("--gens", required=True, help="comma-separated generators")
     ideal.add_argument("--poly", help="polynomial argument for member/colon")
     ideal.add_argument("--e", type=int, default=1, help="Frobenius exponent")
-    ideal.add_argument("--emax", type=int, default=6, help="chain length budget of fclosure")
-    ideal.add_argument("--window", type=int, default=2, help="stabilization window of fclosure")
+    ideal.add_argument(
+        "--emax", type=int, default=DEFAULT_E_MAX, help="chain length budget of fclosure"
+    )
+    ideal.add_argument(
+        "--window", type=int, default=DEFAULT_WINDOW, help="stabilization window of fclosure"
+    )
 
     zoo = sub.add_parser(parents=[common], name="zoo", help="run the regression zoo")
     zoo.add_argument("--dir", default=None, help="zoo directory override")
@@ -72,12 +77,6 @@ def build_parser():
     demo.add_argument("--p", type=int, default=2, help="characteristic for the demo")
 
     return parser
-
-
-def _config(args):
-    cache = args.cache or os.environ.get("FROBSTAB_CACHE") or None
-    set_cache_dir(cache)
-    return RunConfig(json=args.json)
 
 
 def _load_ring(path):
@@ -122,7 +121,7 @@ def _render(value, out, indent=0):
 # --- commands --------------------------------------------------------------------
 
 
-def cmd_ring_check(args, cfg, out):
+def cmd_ring_check(args, out):
     graded = _load_ring(args.ring)
     status, witness = graded.check_cm()
     report = graded.describe()
@@ -140,17 +139,17 @@ def cmd_ring_check(args, cfg, out):
             "status": "unavailable: CM gate failed",
             "witness": None,
         }
-    _emit(report, cfg.json, out)
+    _emit(report, args.json, out)
     return EXIT_OK
 
 
-def cmd_stability(args, cfg, out):
+def cmd_stability(args, out):
     graded = _load_ring(args.ring)
-    _emit(f_stability(graded).to_json(), cfg.json, out)
+    _emit(f_stability(graded).to_json(), args.json, out)
     return EXIT_OK
 
 
-def cmd_ideal(args, cfg, out):
+def cmd_ideal(args, out):
     graded = _load_ring(args.ring)
     # in the user's ring: a Frobenius root of T_i - theta_i is the unit ideal
     ring = graded.user_ring
@@ -183,7 +182,7 @@ def cmd_ideal(args, cfg, out):
     elif args.op == "fclosure":
         closure = frobenius_closure(I, args.emax, args.window, relations=relations)
         report["result"] = closure.to_json()
-    _emit(report, cfg.json, out)
+    _emit(report, args.json, out)
     return EXIT_OK
 
 
@@ -221,7 +220,7 @@ def _zoo_dir(args):
     return str(resources.files("frobstab.zoo"))
 
 
-def cmd_zoo(args, cfg, out):
+def cmd_zoo(args, out):
     directory = _zoo_dir(args)
     try:
         names = sorted(
@@ -245,7 +244,7 @@ def cmd_zoo(args, cfg, out):
         expected = expectations.get(row["name"])
         if expected is not None and expected != row:
             mismatches.append({"name": row["name"], "expected": expected, "got": row})
-    if cfg.json:
+    if args.json:
         out.write(
             json.dumps(
                 {"rows": rows, "mismatches": mismatches}, indent=2, sort_keys=True
@@ -293,7 +292,7 @@ def _print_zoo_table(rows, out):
         out.write("  ".join(c.ljust(w) for c, w in zip(row, widths)) + "\n")
 
 
-def cmd_demo(args, cfg, out):
+def cmd_demo(args, out):
     if args.topic == "imperfect":
         L = build_example_extension(args.p)
         witness = find_nilpotent_in_tensor(L)
@@ -301,14 +300,14 @@ def cmd_demo(args, cfg, out):
             report = {"p": args.p, "witness": None}
         else:
             report = {"p": args.p, **witness.to_json()}
-        _emit(report, cfg.json, out)
+        _emit(report, args.json, out)
     return EXIT_OK
 
 
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    cfg = _config(args)
+    set_cache_dir(args.cache or os.environ.get("FROBSTAB_CACHE") or None)
     handlers = {
         "ring-check": cmd_ring_check,
         "stability": cmd_stability,
@@ -317,7 +316,7 @@ def main(argv=None, out=None):
         "demo": cmd_demo,
     }
     try:
-        return handlers[args.command](args, cfg, out)
+        return handlers[args.command](args, out)
     except (InputError, NotSupportedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -20,7 +20,6 @@ class RunConfig:
     socle_t_max: int = 3
     deg_bound: int = 4
     seed: int = 0
-    json: bool = False
 
     def __post_init__(self):
         for name in ("e_max", "window", "socle_t_max", "deg_bound"):

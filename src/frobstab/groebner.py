@@ -2,7 +2,7 @@
 
 Everything downstream (bracket powers, closures, truncation quotients,
 annihilator chains) reduces to the operations here: reduced Groebner
-bases, normal forms, colon ideals, intersections, elimination, radical
+bases, normal forms, colon ideals, intersections (by elimination), radical
 membership, staircase bases and socles.
 
 The Buchberger loop uses the normal selection strategy (smallest lcm in
@@ -398,7 +398,7 @@ class Ideal:
         J = Ideal(ring2, lifted + [trick])
         return J.contains(ring2.one())
 
-    # --- colon, intersection, elimination ---------------------------------------
+    # --- colon and intersection -------------------------------------------------
 
     def intersect(self, other):
         if other.ring != self.ring:
@@ -430,22 +430,6 @@ class Ideal:
                 raise AssertionError("intersection element not divisible in colon")
             out.append(Polynomial(self.ring, q[0]))
         return Ideal(self.ring, out)
-
-    def eliminate(self, nfront):
-        """Generators of I intersected with the subring without the first
-        nfront variables; the ring's order must already eliminate them."""
-        order = self.ring.order
-        if order.kind != "elim" or order.block != nfront:
-            raise InputError("eliminate requires a matching block elimination order")
-        rest = self.ring.names[nfront:]
-        target = PolyRing(self.ring.field, rest, GREVLEX)
-        kept = [
-            g
-            for g in self.groebner_basis()
-            if all(all(e[i] == 0 for i in range(nfront)) for _c, e in g.terms)
-        ]
-        pos = [-1] * nfront + list(range(len(rest)))
-        return Ideal(target, [target.from_other(g, pos) for g in kept])
 
     # --- staircases and quotient structure ---------------------------------------
 

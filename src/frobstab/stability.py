@@ -42,7 +42,9 @@ On a one-dimensional ring the component check compares the number of
 components of the punctured spectrum with 1 + stable_dim.  There the
 punctured spectrum is the set of minimal primes, none joined to another,
 so the check validates the declared primes as the minimal primes and
-counts them.
+counts them.  Their product stands in for their intersection, the two
+having one radical; it is formed modulo K', each partial product kept
+as a basis of the span of its normal forms, which generates it.
 """
 
 import itertools
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .groebner import Ideal
-from .linalg import kernel, rows_from_columns, solve
+from .linalg import kernel, rows_from_columns, rref, solve
 from .localcoh import CM_VERIFIED, CohomologyClass
 from .semilinear import SemilinearOperator
 
@@ -537,13 +539,24 @@ def connected_components_check(graded, stable_dim):
     no two of them joined, so the component count is the number of
     declared primes once they are validated as the minimal primes: each
     is homogeneous (checked at load), contains the relations and is not
-    m-primary; any two meet only at m; and their intersection lies in
-    rad K.  For homogeneous ideals m-primary means an Artinian quotient.
-    Every minimal prime of K then contains, and so equals, some declared
-    prime, and each declared prime is minimal, being one-dimensional.
-    Any failure raises InputError.  The formula assumes an algebraically
-    closed residue field; dimension invariance of the stable part under
-    base change is what lets the F_p model stand in for that hypothesis.
+    m-primary; any two meet only at m; and their product lies in rad K,
+    as their intersection then does: rad(P_1...P_n) = rad(P_1 n ... n P_n).
+    For homogeneous ideals m-primary means an Artinian quotient.  Every
+    minimal prime of K then contains, and so equals, some declared prime,
+    and each declared prime is minimal, being one-dimensional.  Any
+    failure raises InputError.
+
+    The primes are validated in the user's ring.  The product is formed
+    in S' modulo K', whose basis the ring holds (f is in K, or in rad K,
+    exactly when its lift is in K', or in rad K'): from [1], each prime
+    replaces the list by the normal forms of g*h, h a generator of the
+    prime, cut down to a basis of their F_p-span.  A basis of the span
+    generates the same ideal modulo K', and the forms are homogeneous, so
+    no list is longer than the graded pieces of R it meets are wide.
+    A zero normal form lies in K; only the rest get a Rabinowitsch test.
+    The formula assumes an algebraically closed residue field; dimension
+    invariance of the stable part under base change is what lets the F_p
+    model stand in for that hypothesis.
     """
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
@@ -553,19 +566,21 @@ def connected_components_check(graded, stable_dim):
     primes = graded.minimal_primes
     if not primes:
         raise InputError("minimal_primes are required for the component check")
-    rel = graded.user_relations
     for P in primes:
-        if not P.contains_ideal(rel):
+        if not P.contains_ideal(graded.user_relations):
             raise InputError(f"declared prime {P!r} does not contain the relations")
         if P.is_artinian():
             raise InputError(f"declared prime {P!r} is not one-dimensional")
     for P, Q in itertools.combinations(primes, 2):
         if not Ideal(graded.user_ring, P.gens + Q.gens).is_artinian():
             raise InputError(f"declared primes {P!r} and {Q!r} meet outside the maximal ideal")
-    inter = primes[0]
-    for P in primes[1:]:
-        inter = inter.intersect(P)
-    if not all(rel.contains(g) or rel.radical_contains(g) for g in inter.gens):
+    ring, rel = graded.ring, graded.relations
+    product = [ring.one()]
+    for P in primes:
+        forms = [rel.normal_form(g * ring.from_other(h)) for g in product for h in P.gens]
+        rows = rows_from_columns([{e: c for c, e in f.terms} for f in forms], ring.field)
+        product = [forms[i] for i in rref(rows, ring.field)[1]]
+    if not all(rel.radical_contains(g) for g in product):
         raise InputError(
             "the intersection of the declared primes exceeds the radical of the relations"
         )

@@ -1,5 +1,5 @@
-# Buchberger engine: reduced bases, normal forms, colon/intersection/
-# elimination, radical membership, staircases, socles, caching.
+# Buchberger engine: reduced bases, normal forms, colon/intersection,
+# radical membership, staircases, socles, caching.
 
 import signal
 from contextlib import contextmanager
@@ -238,36 +238,6 @@ def test_intersect_contained_in_both_random():
         K = I.intersect(J)
         for g in K.gens:
             assert I.contains(g) and J.contains(g)
-
-
-# --- elimination -----------------------------------------------------------------
-
-
-def test_eliminate_inverse_trick():
-    from frobstab.poly import elim_order
-
-    R = PolyRing(PrimeField(2), ("t", "a", "b"), elim_order(1))
-    I = Ideal.parse(R, ["t*a - 1", "b"])
-    got = I.eliminate(1)
-    assert got.canonical_strings() == ["b"]
-
-
-def test_eliminate_variable_not_present():
-    from frobstab.poly import elim_order
-
-    R = PolyRing(PrimeField(3), ("t", "a", "b"), elim_order(1))
-    I = Ideal.parse(R, ["a + b^2", "b^3"])
-    got = I.eliminate(1)
-    assert got.equals(Ideal.parse(got.ring, ["a + b^2", "b^3"]))
-
-
-def test_eliminate_difference():
-    from frobstab.poly import elim_order
-
-    R = PolyRing(PrimeField(5), ("t", "a", "b"), elim_order(1))
-    I = Ideal.parse(R, ["t - a", "t - b"])
-    got = I.eliminate(1)
-    assert got.equals(Ideal.parse(got.ring, ["a - b"]))
 
 
 # --- radical membership ---------------------------------------------------------

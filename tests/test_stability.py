@@ -822,21 +822,86 @@ def test_components_of_a_conic_split_only_over_f9():
     assert (out["components"], out["formula"], out["agree"]) == (1, 2, False)
 
 
+def _count_component_work(monkeypatch):
+    """Record the radical tests, intersections, normal forms and Buchberger
+    runs (memory and disk caches off) that the component check makes."""
+    work = {"radical": [], "intersect": 0, "normal_form": 0, "buchberger": []}
+    radical, intersect = Ideal.radical_contains, Ideal.intersect
+    normal_form, buchberger = Ideal.normal_form, groebner._buchberger
+
+    def counted_radical(self, f):
+        work["radical"].append(f)
+        return radical(self, f)
+
+    def counted_intersect(self, other):
+        work["intersect"] += 1
+        return intersect(self, other)
+
+    def counted_normal_form(self, f):
+        work["normal_form"] += 1
+        return normal_form(self, f)
+
+    def counted_buchberger(ring, gens, *caps):
+        work["buchberger"].append((ring, sorted(map(str, gens))))
+        return buchberger(ring, gens, *caps)
+
+    monkeypatch.setattr(Ideal, "radical_contains", counted_radical)
+    monkeypatch.setattr(Ideal, "intersect", counted_intersect)
+    monkeypatch.setattr(Ideal, "normal_form", counted_normal_form)
+    monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
+    monkeypatch.setattr(groebner, "_cache_dir", None)
+    groebner.clear_memory_cache()
+    return work
+
+
 @pytest.mark.parametrize("name", [n for n in ZOO_NAMES if n.startswith("lines")])
 def test_components_of_lines_run_no_radical_test(name, monkeypatch):
-    # the lines' primes intersect to the relations themselves
-    calls = []
-    original = Ideal.radical_contains
-
-    def counted(self, f):
-        calls.append(f)
-        return original(self, f)
-
-    monkeypatch.setattr(Ideal, "radical_contains", counted)
+    # the lines' primes multiply into K', so every normal form of the
+    # product is zero; no intersection is formed and K gets no basis of
+    # its own in the user's ring
     graded = _zoo_ring(name)
+    graded.check_cm()
+    work = _count_component_work(monkeypatch)
     n = len(graded.minimal_primes)
     assert connected_components_check(graded, n - 1)["components"] == n
-    assert calls == []
+    assert work["radical"] == []
+    assert work["intersect"] == 0
+    user_relations = sorted(map(str, graded.user_relations.gens))
+    assert (graded.user_ring, user_relations) not in work["buchberger"]
+
+
+def test_components_of_a_non_reduced_ring_take_the_radical_test(monkeypatch):
+    # on F_3[x,y]/(x^2 y): xy is not in K but is in rad K = (xy)
+    graded = make(3, ("x", "y"), (1, 1), ["x^2*y"], ["x+y"], primes=[["x"], ["y"]])
+    work = _count_component_work(monkeypatch)
+    assert connected_components_check(graded, 1)["components"] == 2
+    assert len(work["radical"]) == 1
+
+
+def test_components_missing_prime_exceeds_the_radical():
+    # (x) alone on F_3[x,y]/(x^2 y), and two of the three lines of lines3_p3
+    one_line = make(3, ("x", "y"), (1, 1), ["x^2*y"], ["x+y"], primes=[["x"]])
+    with open(os.path.join(ZOO, "lines3_p3.json")) as fh:
+        data = json.load(fh)
+    data["minimal_primes"] = data["minimal_primes"][:2]
+    for graded in (one_line, GradedRing.from_dict(data)):
+        with pytest.raises(InputError, match="exceeds the radical"):
+            connected_components_check(graded, 0)
+
+
+def test_components_of_twelve_general_lines_keep_a_basis_per_product(monkeypatch):
+    # 12 general lines through the origin of A^4 over F_13 (R has Hilbert
+    # function 1, 4, 10, 12, 12, ...).  The k-th partial product is kept as
+    # a basis of its piece of R_k, at most 12 - k wide from k = 3 on, so the
+    # product takes 171 normal forms beside the validation's 12 * 11; without
+    # the basis step its lists grow threefold with each prime
+    with open(os.path.join(DATA, "general_lines12_p13.json")) as fh:
+        graded = GradedRing.from_dict(json.load(fh))
+    graded.check_cm()
+    work = _count_component_work(monkeypatch)
+    assert connected_components_check(graded, 11)["components"] == 12
+    assert work["normal_form"] <= 12 * 3 * 12
+    assert work["intersect"] == 0
 
 
 def test_components_rejects_higher_dimension():
