@@ -306,7 +306,7 @@ class Ideal:
     """An ideal with a lazily computed, cached reduced Groebner basis, or
     with `reduced` the caller's word that `gens` is it (nothing checks)."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_stair")
 
     def __init__(self, ring, gens=(), reduced=False):
         self.ring = ring
@@ -321,6 +321,7 @@ class Ideal:
             kept.append(g)
         self.gens = tuple(kept)
         self._gb = tuple(sorted(kept, key=lambda g: (ring.key(g.lm()), g.terms))) if reduced else None
+        self._stair = None
 
     @classmethod
     def parse(cls, ring, texts):
@@ -456,7 +457,11 @@ class Ideal:
         They are grown by a depth-first walk over exponent prefixes (see
         `_standard_monomials`), so the work is about nvars times the number
         of standard prefixes, not the number of monomials of the degree.
+        The whole staircase is walked once per ideal and kept; the
+        staircases of one degree are not kept.
         """
+        if degree is None and self._stair is not None:
+            return self._stair
         lts = self.leading_monomials()
         if lts and not any(lts[0]):
             return StaircaseBasis(self.ring, ())  # unit ideal
@@ -476,7 +481,10 @@ class Ideal:
                 raise InputError("staircase weights must be positive")
         out = _standard_monomials(ends, weights, degree)
         out.sort(key=self.ring.key)
-        return StaircaseBasis(self.ring, tuple(out))
+        stair = StaircaseBasis(self.ring, tuple(out))
+        if degree is None:
+            self._stair = stair
+        return stair
 
     def coordinates(self, f, stair):
         """Coordinates of f's class in the staircase basis.

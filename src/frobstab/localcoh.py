@@ -8,7 +8,9 @@ sop T_1..T_d.  Classes of the top module are written [z + I_t], I_t = K'
 + (T_1^t..T_d^t), and move up the direct system by multiplication with
 T_1*...*T_d; the Frobenius action sends a level-t class to [z^p] at
 level p*t.  By Bayer and Stillman (1987) one reduced Groebner basis G
-of K' serves every I_t.
+of K' serves every I_t; each I_t is built once per ring, and the whole
+staircase of each is walked once, so the F-injectivity socle, the
+a-invariant and the socle route share one walk of I_1's staircase.
 
 Everything certified runs through two gates: the CM check (the sop is a
 verified regular sequence, which makes the transition maps injective and
@@ -39,7 +41,11 @@ class GradedRing:
     `sop`, `weights` are S', K', T_i, their weights; `user_*`, `degrees` the input."""
 
     def __init__(self, field, names, degrees, relations, sop, minimal_primes=None, name=None):
-        self.user_ring = PolyRing(field, names, GREVLEX)
+        user_ring = PolyRing(field, names, GREVLEX)
+        # adopt the inputs' own ring object when it is this ring, so that
+        # ring checks on them take the identity fast path
+        inputs = (*relations, *sop)
+        self.user_ring = next((f.ring for f in inputs if f.ring == user_ring), user_ring)
         degrees = tuple(int(d) for d in degrees)
         if len(degrees) != len(names) or any(d <= 0 for d in degrees):
             raise InputError("each variable needs a positive degree")
@@ -62,6 +68,7 @@ class GradedRing:
         self.cm_status = CM_UNCHECKED
         self.cm_witness = None
         self._level_one = None
+        self._truncations = {}
         if not self.truncation_ideal(1).is_artinian():
             raise InputError("the declared sop does not cut the ring down to dimension zero")
 
@@ -170,9 +177,17 @@ class GradedRing:
         """I_t = K' + (T_1^t, ..., T_d^t).  When no lead of G involves a
         T_i (the CM case) the T_i^t have coprime leads, and G with every
         term some T_i^t divides dropped, plus the T_i^t, is its reduced
-        basis; otherwise Buchberger completes G and the T_i^t."""
+        basis; otherwise Buchberger completes G and the T_i^t.
+
+        Each level is built once per ring and kept, so every phase that
+        reads I_t shares one Ideal, its basis and its whole staircase."""
         if t < 1:
             raise InputError("truncation level must be >= 1")
+        if t not in self._truncations:
+            self._truncations[t] = self._build_truncation(t)
+        return self._truncations[t]
+
+    def _build_truncation(self, t):
         G = self.relations.groebner_basis()
         powers = [T**t for T in self.sop]
         n = self.user_ring.nvars

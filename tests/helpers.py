@@ -248,20 +248,64 @@ def random_hypersurface(n, d, p, seed):
     return ring, f
 
 
-def fedder_f_injective(f, p):
-    """Fedder (1983): F_p[x]/(f) is F-pure, for a hypersurface the same as
-    F-injective, exactly when f^(p-1) is not in m^[p] = (x_i^p), that is
-    when some term of f^(p-1) has every exponent below p.  `f` is a dict
-    {exponent tuple: coefficient}."""
+def _dict_power(f, k, p):
+    """f^k over F_p for f a dict {exponent tuple: coefficient}."""
     power = {tuple(0 for _ in next(iter(f))): 1}
-    for _ in range(p - 1):
+    for _ in range(k):
         acc = {}
         for e1, c1 in power.items():
             for e2, c2 in f.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
                 acc[e] = (acc.get(e, 0) + c1 * c2) % p
         power = {e: c for e, c in acc.items() if c}
-    return any(all(x < p for x in e) for e in power)
+    return power
+
+
+def fedder_f_injective(f, p):
+    """Fedder (1983): F_p[x]/(f) is F-pure, for a hypersurface the same as
+    F-injective, exactly when f^(p-1) is not in m^[p] = (x_i^p), that is
+    when some term of f^(p-1) has every exponent below p.  `f` is a dict
+    {exponent tuple: coefficient}."""
+    return any(all(x < p for x in e) for e in _dict_power(f, p - 1, p))
+
+
+def hasse_witt_stable_dim(f, p):
+    """The stable dimension of Frobenius on [H^(n-1)_m(R)]_0, R =
+    F_p[x_1..x_n]/(f), deg f = d, from the Hasse-Witt matrix (Katz 1972).
+
+    That piece has the basis x^(-u), every u_i >= 1 and |u| = d, and
+    Frobenius sends x^(-u) to f^(p-1) x^(-pu), so it has the matrix
+    M[v,u] = coefficient of x^(pu-v) in f^(p-1).  Its entries lie in F_p,
+    so Frobenius is linear there and the stable part is the image of M^N
+    for N >= size: `stable_dim` is rank M^N.  `f` is a dict {exponent
+    tuple: coefficient}; the ranks come from Gaussian elimination mod p."""
+    power = _dict_power(f, p - 1, p)
+    lead = next(iter(f))
+    n, d = len(lead), sum(lead)
+    basis = [u for u in itertools.product(range(1, d + 1), repeat=n) if sum(u) == d]
+    M = [[power.get(tuple(p * a - b for a, b in zip(u, v)), 0) for u in basis] for v in basis]
+    A = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
+    for _ in basis:
+        A = [[sum(a * m for a, m in zip(row, col)) % p for col in zip(*M)] for row in A]
+    return _rank_mod_p(A, p)
+
+
+def _rank_mod_p(rows, p):
+    rows = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        rows[rank] = [x * inv % p for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def small_ring(p=2, names=("a", "b")):

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+import frobstab.stability as stability
 from frobstab.cli import main
 from frobstab.groebner import clear_memory_cache
 
@@ -37,6 +38,22 @@ def test_ring_check_cusp_reports_witness():
     data = json.loads(text)
     assert data["f_injective"]["value"] is False
     assert data["f_injective"]["witness"] == "b"
+
+
+def test_ring_check_takes_the_f_injectivity_kernel_once(monkeypatch):
+    # the witness and the value come from one kernel of the socle map
+    calls = []
+    kernel = stability.kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "kernel", counted)
+    code, text = run(["ring-check", "--ring", ring_path("cusp_p2"), "--json"])
+    assert code == 0
+    assert json.loads(text)["f_injective"] == {"status": "certified", "value": False, "witness": "b"}
+    assert len(calls) == 1
 
 
 def test_stability_report_schema():

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import frobstab.groebner as groebner
 
 import frobstab.frobenius as frobenius
+import frobstab.localcoh as localcoh
 import frobstab.stability as stability
 from frobstab.cli import main, zoo_row
 from frobstab.config import RunConfig
@@ -42,10 +43,12 @@ from helpers import (
     brute_force_socle_candidates,
     colon_cm_oracle,
     fedder_f_injective,
+    hasse_witt_stable_dim,
     random_hypersurface,
     random_poly,
     random_small_ring,
     seeded,
+    staircase_oracle,
 )
 
 ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
@@ -394,6 +397,58 @@ def test_one_buchberger_run_per_ring_and_none_in_the_phases(monkeypatch, key):
     assert len(runs) == 1
 
 
+@pytest.mark.parametrize("key", COMMITTED)
+def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkeypatch, key):
+    built, walks = [], []
+    ideal, walk = localcoh.Ideal, groebner._standard_monomials
+
+    def counted_ideal(ring, gens=(), reduced=False):
+        gens = list(gens)
+        built.append((ring, gens))
+        return ideal(ring, gens, reduced)
+
+    def counted_walk(ends, weights, degree):
+        walks.append(degree)
+        return walk(ends, weights, degree)
+
+    monkeypatch.setattr(localcoh, "Ideal", counted_ideal)
+    monkeypatch.setattr(groebner, "_standard_monomials", counted_walk)
+    graded = _gate_ring(key)
+    if graded.check_cm()[0] == "verified":
+        zoo_row(graded)
+    else:
+        with pytest.raises(NotSupportedError):
+            zoo_row(graded)
+    # a truncation ideal is the one ideal of S' with T_1^t among its generators
+    n = graded.user_ring.nvars
+    levels = [
+        g.lm()[n]
+        for ring, gens in built
+        if ring is graded.ring
+        for g in gens
+        if len(g.terms) == 1 and g.lm()[n] and not any(g.lm()[:n] + g.lm()[n + 1 :])
+    ]
+    assert set(Counter(levels).values()) == {1}
+    if graded.cm_status == "verified":
+        assert {1, graded.p} <= set(levels)
+    # F-injectivity's socle and the a-invariant share one walk of I_1
+    assert walks.count(None) <= 1
+    for t in levels:
+        assert graded.truncation_ideal(t) is graded.truncation_ideal(t)
+    I_1 = graded.truncation_ideal(1)
+    assert I_1.staircase() is I_1.staircase()
+    assert I_1.staircase().monomials == staircase_oracle(I_1)
+
+
+def test_ring_files_parse_in_the_user_ring():
+    # one ring object, so ring checks on the inputs take the identity path
+    for key in COMMITTED:
+        graded = _gate_ring(key)
+        inputs = [*graded.user_relations.gens, *graded.user_sop]
+        inputs += [g for P in graded.minimal_primes or () for g in P.gens]
+        assert all(f.ring is graded.user_ring for f in inputs)
+
+
 # Fedder on hypersurfaces with the free variable z last, the order in which
 # every bracket power once needed its own Buchberger run
 FEDDER_TIER = [
@@ -407,6 +462,13 @@ def test_f_injectivity_matches_fedder_on_free_variable_last_hypersurfaces(n, d, 
     ring, f = random_hypersurface(n, d, p, seed=100 * n + 10 * d + p)
     report = f_stability(GradedRing.from_dict(ring))
     assert report.f_injective == (fedder_f_injective(f, p), "certified")
+
+
+@pytest.mark.parametrize("n,d,p", FEDDER_TIER, ids=lambda v: str(v))
+def test_stable_dim_matches_hasse_witt_on_free_variable_last_hypersurfaces(n, d, p):
+    ring, f = random_hypersurface(n, d, p, seed=100 * n + 10 * d + p)
+    report = f_stability(GradedRing.from_dict(ring))
+    assert report.stable_dim == hasse_witt_stable_dim(f, p)
 
 
 def test_committed_hypersurface_is_the_fedder_tier_ring():
