@@ -16,7 +16,7 @@ from .frobenius import (
     frobenius_root,
     is_frobenius_closed,
 )
-from .groebner import Ideal, StaircaseBasis, set_cache_dir, socle_basis
+from .groebner import Ideal, StaircaseBasis, socle_basis
 from .imperfect import (
     FiniteExtension,
     TensorNilpotentWitness,

@@ -20,7 +20,7 @@ from .errors import (
 from .frobenius import (
     DEFAULT_E_MAX, DEFAULT_WINDOW, bracket_power, frobenius_closure, frobenius_root
 )
-from .groebner import Ideal, set_cache_dir
+from .groebner import Ideal
 from .imperfect import build_example_extension, find_nilpotent_in_tensor
 from .localcoh import GradedRing
 from .stability import f_injectivity_witness, f_stability
@@ -38,9 +38,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument(
-        "--cache", default=None, help="GB cache directory (overrides FROBSTAB_CACHE)"
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -310,7 +307,6 @@ def cmd_demo(args, out):
 def main(argv=None, out=None):
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    set_cache_dir(args.cache or os.environ.get("FROBSTAB_CACHE") or None)
     handlers = {
         "ring-check": cmd_ring_check,
         "stability": cmd_stability,

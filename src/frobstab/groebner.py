@@ -51,7 +51,10 @@ _cache_dir = None
 
 
 def set_cache_dir(path):
-    """Enable (or with None disable) the on-disk GB cache."""
+    """Enable (or with None disable) the on-disk GB cache.
+
+    Only the library reaches it, not the command line.  It stays until the
+    benchmark's `warm-cache` workload is retired (ROADMAP item 4)."""
     global _cache_dir
     _cache_dir = path
     if path:
@@ -597,9 +600,7 @@ def socle_basis(ideal, maximal_ideal_gens=None):
     ring = ideal.ring
     if maximal_ideal_gens is None:
         maximal_ideal_gens = ring.gens()
-    if not ideal.is_artinian():
-        raise NotSupportedError("socle requires an Artinian quotient")
-    stair = ideal.staircase()
+    stair = ideal.staircase()  # raises NotSupportedError unless Artinian
     if not stair.monomials:
         return []
     idx = stair.index

@@ -34,6 +34,7 @@ from .semilinear import SemilinearOperator
 CM_UNCHECKED = "unchecked"
 CM_VERIFIED = "verified"
 CM_FAILED = "failed"
+ZERO_SCAN = 4
 
 
 class GradedRing:
@@ -62,6 +63,8 @@ class GradedRing:
         order = MonomialOrder("grevlex", weights=self.weights)
         self.ring = PolyRing(field, self.user_ring.names + tnames, order)
         self.sop = tuple(self.ring.var(t) for t in tnames)
+        # T_i = theta_i modulo K', so the user's variables generate m
+        self.user_vars = self.ring.gens()[: self.user_ring.nvars]
         lift = self.ring.from_other
         rels = [lift(g) for g in self.user_relations.gens]
         self.relations = Ideal(self.ring, rels + [T - lift(x) for T, x in zip(self.sop, self.user_sop)])
@@ -171,6 +174,11 @@ class GradedRing:
             self.cm_witness = Polynomial(self.ring, tuple(h))
         return self.cm_status, self.cm_witness
 
+    def require_cm(self, claim):
+        """Raise NotSupportedError naming `claim` unless the CM gate is verified."""
+        if self.cm_status != CM_VERIFIED:
+            raise NotSupportedError(f"{claim} requires a verified CM gate")
+
     # --- truncations ---------------------------------------------------------------
 
     def truncation_ideal(self, t):
@@ -202,8 +210,7 @@ class GradedRing:
         return Ideal(self.ring, kept + powers, reduced=True)
 
     def socle_of_truncation(self, t):
-        # T_i = theta_i modulo K', so the user's variables generate m
-        return socle_basis(self.truncation_ideal(t), self.ring.gens()[: self.user_ring.nvars])
+        return socle_basis(self.truncation_ideal(t), self.user_vars)
 
     def level_one_socle(self):
         """(socle representatives r_i of R/I_1, NF(r_i^p) mod I_p), which
@@ -232,8 +239,7 @@ class GradedRing:
         on the transitions (multiply by T_1...T_d) are bijective in degree
         zero: injective by the CM gate, and of equal dimension by the count.
         """
-        if self.cm_status != CM_VERIFIED:
-            raise NotSupportedError("degree_zero_piece requires a verified CM gate")
+        self.require_cm("degree_zero_piece")
         degsum = self.degree_sum()
         stair = self.truncation_ideal(1).staircase().monomials
         # default=0: a unit relation leaves no standard monomial and T = 1
@@ -310,16 +316,16 @@ class CohomologyClass:
             self.graded, self.graded.p * self.level, self.numerator.frobenius(1)
         )
 
-    def is_zero(self, scan=4):
+    def is_zero(self):
         """(answer, status): certified for CM-verified rings, where the
-        transition maps are injective; otherwise membership at a finitely
-        scanned higher level still certifies zero, while a persistent
+        transition maps are injective; otherwise membership at one of the
+        next ZERO_SCAN levels still certifies zero, while a persistent
         nonzero normal form stays heuristic."""
         if self.numerator.is_zero():
             return True, "certified"
         if self.graded.cm_status == CM_VERIFIED:
             return False, "certified"
-        for s in range(1, scan + 1):
+        for s in range(1, ZERO_SCAN + 1):
             if self.lift(self.level + s).numerator.is_zero():
                 return True, "certified"
         return False, "heuristic"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ContextMismatchError, InputError
 from .field import ExtField, PrimeField
-from .linalg import kernel, mat_vec, residual_map_rows, rref
+from .linalg import in_row_space, kernel, mat_vec, residual_map_rows, rref
 
 
 @dataclass(frozen=True)
@@ -48,11 +48,13 @@ class Subspace:
     def is_zero(self):
         return not self.rows
 
-    def contains(self, v):
-        from .linalg import in_row_space
+    def _pivots(self):
+        """The pivot columns, read off the RREF rows."""
+        zero = self.field.zero
+        return [next(j for j, x in enumerate(r) if x != zero) for r in self.rows]
 
-        red, pivots = rref([list(r) for r in self.rows], self.field) if self.rows else ([], [])
-        return in_row_space(red, pivots, list(v), self.field)
+    def contains(self, v):
+        return in_row_space(self.rows, self._pivots(), list(v), self.field)
 
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
@@ -138,38 +140,20 @@ class SemilinearOperator:
 
     def stable_part(self):
         """Limit of the descending chain of iterated image spans."""
-        W = self.image_span(self.full_space())
-        while True:
-            nxt = self.image_span(W)
-            if nxt.rows == W.rows:
-                return W
-            W = nxt
+        return _fixpoint(self.image_span, self.image_span(self.full_space()))
 
     def kernel_space(self):
-        """ker(v -> A v^(q)): the inverse coordinate Frobenius of ker A."""
-        base = kernel([list(r) for r in self.matrix], self.field, ncols=self.n)
-        vecs = [
-            tuple(self.field.frobenius_inverse(x, self.twist) for x in v) for v in base
-        ]
-        return Subspace.from_vectors(self.field, self.n, vecs)
+        """ker(v -> A v^(q)), the preimage of zero."""
+        return self.preimage(Subspace.zero(self.field, self.n))
 
     def preimage(self, U):
         """{v : apply(v) in U}, exactly."""
-        res = residual_map_rows(
-            *(rref([list(r) for r in U.rows], self.field) if U.rows else ([], [])),
-            self.n,
-            self.field,
-        )
+        res = residual_map_rows(U.rows, U._pivots(), self.n, self.field)
         if not res:
             return self.full_space()
-        composed = []
-        for row in res:
-            composed.append(
-                [
-                    _dot(self.field, row, [self.matrix[r][c] for r in range(self.n)])
-                    for c in range(self.n)
-                ]
-            )
+        # the residual map composed with the matrix, row by row
+        columns = tuple(zip(*self.matrix))
+        composed = [mat_vec(columns, row, self.field) for row in res]
         lin = kernel(composed, self.field, ncols=self.n)
         vecs = [
             tuple(self.field.frobenius_inverse(x, self.twist) for x in v) for v in lin
@@ -178,12 +162,7 @@ class SemilinearOperator:
 
     def nil_part(self):
         """Union of the ascending kernel chain of the iterates."""
-        K = self.kernel_space()
-        while True:
-            nxt = self.preimage(K)
-            if nxt.rows == K.rows:
-                return K
-            K = nxt
+        return _fixpoint(self.preimage, Subspace.zero(self.field, self.n))
 
     def is_injective(self):
         return self.kernel_space().is_zero()
@@ -249,12 +228,7 @@ class SemilinearOperator:
         operator; the injectivity flag is reported because only injective
         actions make the existence statement a theorem.
         """
-        T = S
-        while True:
-            nxt = T.intersect(self.preimage(T))
-            if nxt.rows == T.rows:
-                break
-            T = nxt
+        T = _fixpoint(lambda T: T.intersect(self.preimage(T)), S)
         witness = T.rows[0] if T.rows else None
         return StableSocleSearch(witness, T, self.is_injective())
 
@@ -267,12 +241,10 @@ class SemilinearOperator:
         turns the socle-chain existence statement into a theorem, and it
         fails for arbitrary subspaces.
         """
-        T = S
-        while True:
-            pre = self.preimage(T)
-            if T.contains_subspace(pre):
-                return T
-            T = Subspace.from_vectors(self.field, self.n, T.rows + pre.rows)
+        return _fixpoint(
+            lambda T: Subspace.from_vectors(self.field, self.n, T.rows + self.preimage(T).rows),
+            S,
+        )
 
     def base_change(self, n):
         """The same matrix over F_{p^n}; twist unchanged."""
@@ -293,11 +265,13 @@ class SemilinearOperator:
         return f"<semilinear {self.n}x{self.n} over {self.field}, twist {self.twist}>"
 
 
-def _dot(field, a, b):
-    s = field.zero
-    for x, y in zip(a, b):
-        s = field.add(s, field.mul(x, y))
-    return s
+def _fixpoint(step, W):
+    """Apply `step` from W until the canonical RREF rows repeat."""
+    while True:
+        nxt = step(W)
+        if nxt.rows == W.rows:
+            return W
+        W = nxt
 
 
 @dataclass(frozen=True)

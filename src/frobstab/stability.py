@@ -34,9 +34,9 @@ Annihilator chains C_e = (I_(tq) : x^q) of a level-t class, I_(tq) =
 I_t^[q] a truncation ideal, stop after `window` consecutive equality
 comparisons.  A chain that never stabilizes (the colon of 1 in a
 polynomial ring, for instance) is reported with its last element as an
-explicit upper bound and no limit is claimed.  The `window`, `e_max` and
-`socle_t_max` of a RunConfig drive these chains and the annihilator
-surveys; no verdict reads them.
+explicit upper bound and no limit is claimed.  The `window` and `e_max`
+of a RunConfig bound these chains, SURVEY_T_MAX and SURVEY_DEG_BOUND the
+classes the annihilator surveys sample; no verdict reads any of them.
 
 On a one-dimensional ring the component check compares the number of
 components of the punctured spectrum with 1 + stable_dim.  There the
@@ -55,7 +55,7 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .groebner import Ideal
 from .linalg import kernel, rows_from_columns, rref, solve
-from .localcoh import CM_VERIFIED, CohomologyClass
+from .localcoh import CohomologyClass
 from .semilinear import SemilinearOperator
 
 CHAIN_STABILIZED = "stabilized"
@@ -81,15 +81,6 @@ class ChainReport:
     @property
     def upper_bound_only(self):
         return self.status != CHAIN_STABILIZED
-
-    def to_json(self):
-        return {
-            "chain": [J.canonical_strings() for J in self.ideals],
-            "limit": self.limit.canonical_strings(),
-            "status": self.status,
-            "upper_bound_only": self.upper_bound_only,
-            "descending_verified": self.descending_verified,
-        }
 
 
 def frobenius_colon_chain(graded, level, x, cfg=None, expect_descending=False):
@@ -146,8 +137,7 @@ def is_f_injective_cm(graded):
     map is linear because c^p = c over F_p; one rank decides it, with no
     window and no e_max.
     """
-    if graded.cm_status != CM_VERIFIED:
-        raise NotSupportedError("the F-injectivity criterion requires a verified CM gate")
+    graded.require_cm("the F-injectivity criterion")
     return f_injectivity_witness(graded) is None, "certified"
 
 
@@ -166,8 +156,7 @@ def f_injectivity_witness(graded):
 def is_f_stable_certified(graded):
     """(verdict, stable_dim, "certified") from the degree-zero carrier
     route; the carrier's level is exact, so no window or budget enters."""
-    if graded.cm_status != CM_VERIFIED:
-        raise NotSupportedError("the certified stability route requires the CM gate")
+    graded.require_cm("the certified stability route")
     op = graded.frobenius_matrix(graded.degree_zero_piece())
     dim = op.stable_part().dim
     return dim > 0, dim, "certified"
@@ -202,12 +191,6 @@ class SocleSearchReport:
     def found(self):
         return bool(self.candidates)
 
-    def to_json(self):
-        return {
-            "candidates": [c.to_json() for c in self.candidates],
-            "examined": self.examined,
-        }
-
 
 def socle_stability_search(graded):
     """Socle classes whose annihilator chain stays at m: a basis of the
@@ -233,8 +216,7 @@ def socle_stability_search(graded):
     nilpotent part, so such a class exists exactly when the stable part
     is nonzero.  `examined` is s.
     """
-    if graded.cm_status != CM_VERIFIED:
-        raise NotSupportedError("the socle route requires a verified CM gate")
+    graded.require_cm("the socle route")
     ring = graded.ring
     reps, images = graded.level_one_socle()
     vecs = _socle_fixpoint(graded, reps, images)
@@ -279,8 +261,8 @@ def _socle_fixpoint(graded, reps, images):
         if e > 1:
             nfs = [B.normal_form(nf.frobenius(1)) for nf in nfs]
         for col, nf in zip(columns, nfs):
-            # x_j * (r^q - NF(r^q)) lies in B; the user's x_j generate m mod K'
-            for j, x in enumerate(ring.gens()[: graded.user_ring.nvars]):
+            # x_j * (r^q - NF(r^q)) lies in B
+            for j, x in enumerate(graded.user_vars):
                 for c, mono in B.normal_form(x * nf).terms:
                     col[(e, j, mono)] = c
         vecs = kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
@@ -374,6 +356,11 @@ def f_stability(graded):
 
 # --- annihilator surveys -----------------------------------------------------------
 
+# the surveys sample classes at truncation levels 1..SURVEY_T_MAX, random
+# numerators among them of degree at most SURVEY_DEG_BOUND
+SURVEY_T_MAX = 3
+SURVEY_DEG_BOUND = 4
+
 
 @dataclass
 class AnnihilatorSurvey:
@@ -386,33 +373,24 @@ class AnnihilatorSurvey:
     def distinct_count(self):
         return len(self.stabilized_limits)
 
-    def to_json(self):
-        return {
-            "stabilized_limits": [list(gens) for gens in self.stabilized_limits],
-            "samples": self.samples,
-            "not_stabilized": self.not_stabilized,
-            "radical_checks": self.radical_checks,
-        }
 
-
-def _sample_classes(graded, cfg, rng):
+def _sample_classes(graded, rng):
     """Socle classes, staircase monomial classes and random low-degree
     numerators at small truncation levels; zero classes are skipped."""
     ring = graded.ring
     out = []
-    for t in range(1, cfg.socle_t_max + 1):
+    for t in range(1, SURVEY_T_MAX + 1):
         I_t = graded.truncation_ideal(t)
         for rep in graded.socle_of_truncation(t):
             out.append((t, rep))
         for mono in I_t.staircase().monomials:
             if any(mono):
                 out.append((t, ring.monomial(mono)))
-        deg = cfg.deg_bound
         for _ in range(6):
             terms = {}
             for _t in range(3):
-                e = tuple(rng.randint(0, deg) for _ in ring.names)
-                if sum(e) <= deg:
+                e = tuple(rng.randint(0, SURVEY_DEG_BOUND) for _ in ring.names)
+                if sum(e) <= SURVEY_DEG_BOUND:
                     terms[e] = rng.randrange(ring.p)
             z = I_t.normal_form(ring.from_dict(terms))
             if not z.is_zero():
@@ -466,7 +444,7 @@ def sample_frobenius_annihilators(graded, cfg=None):
     limits = {}
     samples = 0
     not_stabilized = 0
-    for t, z in _sample_classes(graded, cfg, rng):
+    for t, z in _sample_classes(graded, rng):
         eta = CohomologyClass(graded, t, z)
         if eta.numerator.is_zero():
             continue
@@ -493,7 +471,6 @@ def annihilator_prime_candidates(graded, cfg=None):
     An ideal is dropped when it is the intersection of two strictly
     larger sampled limits, and must pass the radical spot-check.
     """
-    cfg = cfg or RunConfig()
     survey = sample_frobenius_annihilators(graded, cfg)
     ring = graded.ring
     pool = {}
@@ -561,8 +538,7 @@ def connected_components_check(graded, stable_dim):
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
     graded.check_cm()
-    if graded.cm_status != CM_VERIFIED:
-        raise NotSupportedError("component check requires the CM gate")
+    graded.require_cm("the component check")
     primes = graded.minimal_primes
     if not primes:
         raise InputError("minimal_primes are required for the component check")
@@ -577,7 +553,8 @@ def connected_components_check(graded, stable_dim):
     ring, rel = graded.ring, graded.relations
     product = [ring.one()]
     for P in primes:
-        forms = [rel.normal_form(g * ring.from_other(h)) for g in product for h in P.gens]
+        lifted = [ring.from_other(h) for h in P.gens]
+        forms = [rel.normal_form(g * h) for g in product for h in lifted]
         rows = rows_from_columns([{e: c for c, e in f.terms} for f in forms], ring.field)
         product = [forms[i] for i in rref(rows, ring.field)[1]]
     if not all(rel.radical_contains(g) for g in product):

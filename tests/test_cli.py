@@ -1,4 +1,4 @@
-# CLI surface: subcommands, exit codes, determinism, cache transparency.
+# CLI surface: subcommands, exit codes, determinism, no GB cache option.
 
 import io
 import json
@@ -161,23 +161,21 @@ def test_json_reports_are_byte_identical():
     assert first == second
 
 
-def test_cache_transparency(tmp_path):
-    argv = ["stability", "--ring", ring_path("lines2_p3"), "--json", "--cache", str(tmp_path)]
+def test_the_gb_cache_is_not_reachable_from_the_cli(tmp_path, monkeypatch):
+    # the on-disk cache accepts the basis of any larger ideal, so the CLI
+    # offers no way to it: --cache is an unknown argument (exit 2), and
+    # FROBSTAB_CACHE is neither read nor written to
+    with pytest.raises(SystemExit) as exited:
+        run(["stability", "--ring", ring_path("lines2_p3"), "--cache", str(tmp_path)])
+    assert exited.value.code == 2
+    argv = ["stability", "--ring", ring_path("lines2_p3"), "--json"]
     clear_memory_cache()
-    code, cold = run(argv)
-    assert code == 0
-    assert any(tmp_path.iterdir())
+    _, plain = run(argv)
+    monkeypatch.setenv("FROBSTAB_CACHE", str(tmp_path))
     clear_memory_cache()
-    code, warm = run(argv)
-    assert code == 0
-    assert cold == warm
-    # and identical to a run without any cache at all
-    clear_memory_cache()
-    from frobstab.groebner import set_cache_dir
-
-    set_cache_dir(None)
-    _, plain = run(["stability", "--ring", ring_path("lines2_p3"), "--json"])
-    assert plain == cold
+    code, with_env = run(argv)
+    assert code == 0 and with_env == plain
+    assert not any(tmp_path.iterdir())
 
 
 def test_zoo_small_dir_and_expectation_mismatch(tmp_path):
