@@ -16,6 +16,14 @@ deterministic, and the reduced basis it returns is the unique one for
 the ring's order, so ideal equality is a string comparison of canonical
 forms.  Resource caps fail loudly instead of degrading the answer.
 
+The input is interreduced first: monic, no term of an element divisible
+by another's lead, and sorted as `_reduce_basis` sorts.  So the engine
+returns it as it is in two cases, both exact.  When no variable divides
+two of its leads, the product criterion drops every pair, and no pair
+queue is built.  When every S-polynomial reduces to zero, the input is a
+basis already reduced, and the reduced basis is unique, so no final
+reduction runs.
+
 Staircases (the standard monomials, whole or in one weighted degree) are
 grown from the order ideal by a depth-first walk over exponent prefixes
 that stops at the first prefix a lead divides, so their cost is about
@@ -166,14 +174,17 @@ def _interreduce(gens, ring):
 def _buchberger(ring, gens, pair_cap):
     import heapq
 
-    G = []
-    seen = set()
-    for g in sorted(_interreduce(gens, ring), key=lambda g: (ring.key(g.lm()), g.terms)):
-        if g.terms not in seen:
-            seen.add(g.terms)
-            G.append(g)
+    # interreduced elements have distinct leads, so the sort needs no tie-break
+    G = sorted(_interreduce(gens, ring), key=lambda g: ring.key(g.lm()))
     if not G:
         return ()
+    # G is monic, interreduced and ascending, so once it is a basis it is
+    # the reduced one, the output of _reduce_basis.  With pairwise coprime
+    # leads (no variable divides two of them) the product criterion drops
+    # every pair, so it is a basis already
+    leads = [g.lm() for g in G]
+    if all(sum(1 for lead in leads if lead[i]) <= 1 for i in range(ring.nvars)):
+        return tuple(G)
     # the cap guards against runaway growth, not against legitimately
     # large inputs such as bracket powers
     eff_cap = max(DEFAULT_DEGREE_CAP, 2 * max(g.degree() for g in G) + 4)
@@ -182,7 +193,7 @@ def _buchberger(ring, gens, pair_cap):
     # `pairs` maps each live pair to its lcm, and a heap entry whose pair
     # an update has dropped is skipped when popped
     gb_terms = [g.terms for g in G]
-    leads = [g.lm() for g in G]
+    given = len(G)
     active = []
     pairs = {}
     heap = []
@@ -219,6 +230,8 @@ def _buchberger(ring, gens, pair_cap):
         gb_terms.append(G[-1].terms)
         leads.append(G[-1].lm())
         join(len(G) - 1)
+    if len(G) == given:
+        return tuple(G)  # every S-polynomial reduced to zero
     return _reduce_basis(G, ring)
 
 

@@ -523,6 +523,13 @@ def connected_components_check(graded, stable_dim):
     and each declared prime is minimal, being one-dimensional.  Any
     failure raises InputError.
 
+    Nothing checks that a declared ideal is prime.  A non-prime one can
+    only make the count smaller than the number of minimal primes of K:
+    each declared ideal contains K and is not m-primary, so it lies in a
+    minimal prime of K, and two of them in one minimal prime would meet
+    outside m.  Declaring (x, yz) and (y, z) on three lines passes every
+    check and counts 2 components, not 3.
+
     The primes are validated in the user's ring.  The product is formed
     in S' modulo K', whose basis the ring holds (f is in K, or in rad K,
     exactly when its lift is in K', or in rad K'): from [1], each prime

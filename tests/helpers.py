@@ -7,6 +7,7 @@ criterion, and a dense socle matrix.
 """
 
 import itertools
+import math
 import random
 
 from frobstab.field import PrimeField
@@ -234,18 +235,22 @@ def random_hypersurface(n, d, p, seed):
     f = {(0,) * (n - 1) + (d,): 1}
     for e in rng.sample(monos, 6):
         f[e] = rng.randrange(1, p)
-    text = " + ".join(
-        "*".join([str(c)] * (c != 1) + [v if x == 1 else f"{v}^{x}" for v, x in zip(names, e) if x])
-        for e, c in sorted(f.items(), reverse=True)
-    )
     ring = {
         "name": f"hypersurface_n{n}_d{d}_p{p}",
         "char": p,
         "vars": list(names),
-        "relations": [text],
+        "relations": [_text(f, names)],
         "sop": list(names[:-1]),
     }
     return ring, f
+
+
+def _text(f, names):
+    """A dict {exponent tuple: coefficient} in the ring-file syntax."""
+    return " + ".join(
+        "*".join([str(c)] * (c != 1) + [v if x == 1 else f"{v}^{x}" for v, x in zip(names, e) if x])
+        for e, c in sorted(f.items(), reverse=True)
+    )
 
 
 def _dict_power(f, k, p):
@@ -263,31 +268,88 @@ def _dict_power(f, k, p):
 
 def fedder_f_injective(f, p):
     """Fedder (1983): F_p[x]/(f) is F-pure, for a hypersurface the same as
-    F-injective, exactly when f^(p-1) is not in m^[p] = (x_i^p), that is
-    when some term of f^(p-1) has every exponent below p.  `f` is a dict
-    {exponent tuple: coefficient}."""
-    return any(all(x < p for x in e) for e in _dict_power(f, p - 1, p))
+    F-injective, exactly when f^(p-1) is not in m^[p] = (x_i^p).  `f` is a
+    dict {exponent tuple: coefficient}."""
+    return _fedder(_dict_power(f, p - 1, p), p)
+
+
+def _fedder(power, p):
+    """Whether some term of f^(p-1), given as `power`, has every exponent
+    below p, that is f^(p-1) is not in (x_i^p)."""
+    return any(all(x < p for x in e) for e in power)
 
 
 def hasse_witt_stable_dim(f, p):
     """The stable dimension of Frobenius on [H^(n-1)_m(R)]_0, R =
-    F_p[x_1..x_n]/(f), deg f = d, from the Hasse-Witt matrix (Katz 1972).
+    F_p[x_1..x_n]/(f), from the Hasse-Witt matrix (Katz 1972); see
+    `_hasse_witt_rank`.  `f` is a dict {exponent tuple: coefficient}."""
+    lead = next(iter(f))
+    return _hasse_witt_rank(_dict_power(f, p - 1, p), len(lead), sum(lead), p)
+
+
+def _hasse_witt_rank(power, n, d, p):
+    """The stable dimension of Frobenius on [H^(n-1)_m(R)]_0, R =
+    F_p[x_1..x_n]/(f), deg f = d, f^(p-1) given as `power`.
 
     That piece has the basis x^(-u), every u_i >= 1 and |u| = d, and
     Frobenius sends x^(-u) to f^(p-1) x^(-pu), so it has the matrix
     M[v,u] = coefficient of x^(pu-v) in f^(p-1).  Its entries lie in F_p,
     so Frobenius is linear there and the stable part is the image of M^N
-    for N >= size: `stable_dim` is rank M^N.  `f` is a dict {exponent
-    tuple: coefficient}; the ranks come from Gaussian elimination mod p."""
-    power = _dict_power(f, p - 1, p)
-    lead = next(iter(f))
-    n, d = len(lead), sum(lead)
+    for N >= size: `stable_dim` is rank M^N.  The ranks come from
+    Gaussian elimination mod p."""
     basis = [u for u in itertools.product(range(1, d + 1), repeat=n) if sum(u) == d]
     M = [[power.get(tuple(p * a - b for a, b in zip(u, v)), 0) for u in basis] for v in basis]
     A = [[int(i == j) for j in range(len(basis))] for i in range(len(basis))]
     for _ in basis:
         A = [[sum(a * m for a, m in zip(row, col)) % p for col in zip(*M)] for row in A]
     return _rank_mod_p(A, p)
+
+
+# --- diagonal hypersurfaces, by the multinomial theorem alone ------------------------
+
+
+def diagonal_hypersurface(n, d, p, seed):
+    """A ring-file dict for F_p[x, y, z(, w)]/(f(Ax)), f = sum a_i x_i^d,
+    with seeded nonzero a_i and a seeded invertible n x n matrix A over
+    F_p; the sop is (Ax)_1..(Ax)_(n-1), the images of x_1..x_(n-1), which
+    cut f down to a_n x_n^d.  Returns (ring dict, the coefficients a)."""
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "w")[:n]
+    a = [rng.randrange(1, p) for _ in range(n)]
+    while True:
+        A = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        if _rank_mod_p(A, p) == n:
+            break
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows = [{unit[j]: c for j, c in enumerate(row) if c} for row in A]
+    g = {}
+    for coeff, row in zip(a, rows):
+        for e, c in _dict_power(row, d, p).items():
+            g[e] = (g.get(e, 0) + coeff * c) % p
+    ring = {
+        "name": f"diagonal_n{n}_d{d}_p{p}",
+        "char": p,
+        "vars": list(names),
+        "relations": [_text({e: c for e, c in g.items() if c}, names)],
+        "sop": [_text(row, names) for row in rows[:-1]],
+    }
+    return ring, a
+
+
+def diagonal_verdicts(a, d, p):
+    """(F-injective, stable_dim) of F_p[x_1..x_n]/(sum a_i x_i^d) from the
+    multinomial theorem: f^(p-1) has the terms prod x_i^(d k_i), |k| = p - 1,
+    with coefficients (p-1)!/prod k_i! * prod a_i^k_i, none of them zero
+    mod p, as p does not divide (p-1)!.  Fedder's test and the Hasse-Witt
+    rank are read from those terms."""
+    n = len(a)
+    power = {}
+    for k in itertools.product(range(p), repeat=n):
+        if sum(k) == p - 1:
+            c = math.factorial(p - 1) // math.prod(map(math.factorial, k))
+            c = c * math.prod(pow(x, y, p) for x, y in zip(a, k)) % p
+            power[tuple(d * x for x in k)] = c
+    return _fedder(power, p), _hasse_witt_rank(power, n, d, p)
 
 
 def _rank_mod_p(rows, p):

@@ -1,12 +1,19 @@
 # Buchberger engine: reduced bases, normal forms, colon/intersection,
 # radical membership, staircases, socles, caching.
 
+import glob
+import json
+import os
 import signal
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import frobstab.groebner as groebner
+from frobstab.cli import zoo_row
+from frobstab.config import RunConfig
 from frobstab.errors import InputError, NotSupportedError, ResourceLimitError
 from frobstab.field import PrimeField
 from frobstab.groebner import (
@@ -15,7 +22,9 @@ from frobstab.groebner import (
     set_cache_dir,
     socle_basis,
 )
+from frobstab.localcoh import GradedRing
 from frobstab.poly import GREVLEX, MonomialOrder, PolyRing, elim_order, mono_divides
+from frobstab.stability import connected_components_check
 
 from helpers import (
     MacaulayOracle,
@@ -25,6 +34,10 @@ from helpers import (
     seeded,
     staircase_oracle,
 )
+
+
+ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def ring(p=2, names=("a", "b"), order=GREVLEX):
@@ -95,6 +108,59 @@ def test_gb_is_reduced():
                     assert not any(mono_divides(lead, mono) for lead in others), gb
 
 
+def _count_buchberger_work(monkeypatch):
+    """Counts of Buchberger runs, Gebauer-Moeller updates and final
+    reductions, with the memory cache cleared and the disk cache off."""
+    work = Counter()
+    for name in ("_buchberger", "_update", "_reduce_basis"):
+
+        def counted(*args, name=name, original=getattr(groebner, name)):
+            work[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groebner, name, counted)
+    monkeypatch.setattr(groebner, "_cache_dir", None)
+    clear_memory_cache()
+    return work
+
+
+def _ring_file(path):
+    with open(path) as fh:
+        return GradedRing.from_dict(json.load(fh))
+
+
+# one run per declared prime and per distinct sum of two; from three lines
+# on every such sum is m
+COMPONENT_RUNS = {"lines2": 3, "lines3": 4, "lines4": 5, "general_lines12": 78}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(glob.glob(os.path.join(ZOO, "lines*_p*.json")))
+    + [os.path.join(DATA, "general_lines12_p13.json")],
+    ids=os.path.basename,
+)
+def test_component_check_builds_no_pair_queue_and_no_final_reduction(path, monkeypatch):
+    # every basis the check asks for is its interreduced input, the primes
+    # and their sums by coprime leads
+    graded = _ring_file(path)
+    graded.check_cm()
+    work = _count_buchberger_work(monkeypatch)
+    n = len(graded.minimal_primes)
+    assert connected_components_check(graded, n - 1)["components"] == n
+    runs = COMPONENT_RUNS[os.path.basename(path).rsplit("_p", 1)[0]]
+    assert work == {"_buchberger": runs}
+
+
+@pytest.mark.parametrize("name", ["cubic_zxy_p43", "octahedron_p5"])
+def test_zoo_row_builds_no_pair_queue_and_no_final_reduction(name, monkeypatch):
+    # from the ring file to the row, the one Buchberger run is K' (in
+    # GradedRing's own sop check), whose leads interreduce to coprime ones
+    work = _count_buchberger_work(monkeypatch)
+    zoo_row(_ring_file(os.path.join(DATA, name + ".json")), RunConfig())
+    assert work == {"_buchberger": 1}
+
+
 # --- normal form and membership ---------------------------------------------------
 
 
@@ -117,6 +183,11 @@ def buchberger_cases(draw):
 # lcm(i, h) nor lcm(j, h) equals lcm(i, j); these two go wrong otherwise
 @example(ideal(["b*c^2", "a^2*c + b", "a*b^2 + b*c"], 2, ("a", "b", "c")))
 @example(ideal(["2*a*b^2", "2*b^2*c + b*c*d", "a^2*b + 2*a*c*d + c*d"], 3, ("a", "b", "c", "d"), elim_order(1)))
+# the two early exits: K' of the Fermat cubic in order (z, x, y) interreduces
+# to the coprime leads z^3, x, y; K' of three lines has leads x, y^2, y*z,
+# z^2, and each S-polynomial it keeps reduces to zero
+@example(ideal(["x^3 + y^3 + z^3", "T1 - x", "T2 - y"], 43, ("z", "x", "y", "T1", "T2")))
+@example(ideal(["x*y", "x*z", "y*z", "T1 - x - y - z"], 3, ("x", "y", "z", "T1")))
 def test_gb_matches_criterion_free_buchberger(I):
     assert I.canonical_strings() == buchberger_oracle(I)
 

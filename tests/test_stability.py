@@ -42,6 +42,8 @@ from frobstab.stability import (
 from helpers import (
     brute_force_socle_candidates,
     colon_cm_oracle,
+    diagonal_hypersurface,
+    diagonal_verdicts,
     fedder_f_injective,
     hasse_witt_stable_dim,
     random_hypersurface,
@@ -471,6 +473,23 @@ def test_stable_dim_matches_hasse_witt_on_free_variable_last_hypersurfaces(n, d,
     assert report.stable_dim == hasse_witt_stable_dim(f, p)
 
 
+# f = sum a_i x_i^d after a seeded linear change of coordinates, with the
+# images of x_1..x_(n-1) as the sop: K' has dense generators, and the
+# verdicts are read off the multinomial expansion of f^(p-1)
+DIAGONAL_TIER = [(3, 3, 7), (3, 3, 5), (3, 4, 13), (4, 3, 5), (4, 4, 5), (4, 4, 7)]
+
+
+@pytest.mark.parametrize("n,d,p", DIAGONAL_TIER, ids=lambda v: str(v))
+def test_both_verdicts_match_the_closed_form_on_diagonal_hypersurfaces(n, d, p):
+    ring, a = diagonal_hypersurface(n, d, p, seed=100 * n + 10 * d + p)
+    f = {tuple(d * (i == j) for j in range(n)): c for i, c in enumerate(a)}
+    f_injective, stable_dim = diagonal_verdicts(a, d, p)
+    assert (fedder_f_injective(f, p), hasse_witt_stable_dim(f, p)) == (f_injective, stable_dim)
+    report = f_stability(GradedRing.from_dict(ring))
+    assert report.f_injective == (f_injective, "certified")
+    assert report.stable_dim == stable_dim
+
+
 def test_committed_hypersurface_is_the_fedder_tier_ring():
     ring, _f = random_hypersurface(4, 5, 7, seed=457)
     with open(os.path.join(DATA, "hypersurface_n4_d5_p7.json")) as fh:
@@ -882,6 +901,17 @@ def test_components_of_a_conic_split_only_over_f9():
         graded = GradedRing.from_dict(json.load(fh))
     out = f_stability(graded).components
     assert (out["components"], out["formula"], out["agree"]) == (1, 2, False)
+
+
+def test_components_of_a_non_prime_declaration_undercount():
+    # (x, yz) is not prime, yet it contains K, is not m-primary, meets (y, z)
+    # only at m, and (x, yz)(y, z) lies in K: nothing checks primality, and
+    # the two declared ideals count fewer components than the three lines
+    with open(os.path.join(ZOO, "lines3_p3.json")) as fh:
+        data = json.load(fh)
+    data["minimal_primes"] = [["x", "y*z"], ["y", "z"]]
+    out = f_stability(GradedRing.from_dict(data)).components
+    assert (out["components"], out["formula"], out["agree"]) == (2, 3, False)
 
 
 def _count_component_work(monkeypatch):
