@@ -17,12 +17,20 @@ the ring's order, so ideal equality is a string comparison of canonical
 forms.  Resource caps fail loudly instead of degrading the answer.
 
 The input is interreduced first: monic, no term of an element divisible
-by another's lead, and sorted as `_reduce_basis` sorts.  So the engine
-returns it as it is in two cases, both exact.  When no variable divides
-two of its leads, the product criterion drops every pair, and no pair
-queue is built.  When every S-polynomial reduces to zero, the input is a
-basis already reduced, and the reduced basis is unique, so no final
-reduction runs.
+by another's lead, and sorted as `_reduce_basis` sorts.  A further pass
+of the interreduction runs only when the last one moved a lead.  The
+engine then skips work in three cases, all exact.  When no variable
+divides two of its leads, the product criterion drops every pair, and no
+pair queue is built.  When every S-polynomial reduces to zero, the input
+is a basis already reduced, and the reduced basis is unique, so no final
+reduction runs.  No pair of two monomials is queued: its S-polynomial is
+exactly 0, so leaving it out keeps criterion B sound.
+
+Bases are cached in memory for the process, keyed by the ring and the set
+of the generators' term tuples, so reordered or repeated generators share
+an entry and nothing is printed or hashed.  The on-disk cache that
+`set_cache_dir` turns on names its files by a SHA-256 of the printed
+generators (`_cache_key`), which is computed only while it is on.
 
 Staircases (the standard monomials, whole or in one weighted degree) are
 grown from the order ideal by a depth-first walk over exponent prefixes
@@ -152,23 +160,25 @@ def _normal_form_terms(terms, basis_terms, ring):
 
 def _interreduce(gens, ring):
     # mutual pre-reduction; hugely shrinks bracket-power inputs against
-    # quotient relations before any S-pair is formed
-    gens = [g.monic() for g in gens if g]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(gens)):
-            if gens[i].is_zero():
+    # quotient relations before any S-pair is formed.  Each element is
+    # reduced against the current others; an element reduced in a pass
+    # whose leads stay put has no term divisible by the final leads, so
+    # only a moved lead calls for another pass
+    terms = [g.monic().terms for g in gens if g]
+    moved = True
+    while moved and len(terms) > 1:
+        moved = False
+        i = 0
+        while i < len(terms):
+            r = _normal_form_terms(terms[i], terms[:i] + terms[i + 1 :], ring)
+            if not r:
+                del terms[i]
                 continue
-            others = [g.terms for j, g in enumerate(gens) if j != i and g]
-            if not others:
-                continue
-            r = Polynomial(ring, _normal_form_terms(gens[i].terms, others, ring))
-            r = r.monic()
-            if r.terms != gens[i].terms:
-                gens[i] = r
-                changed = True
-    return [g for g in gens if g]
+            if r != terms[i]:
+                moved = moved or r[0][1] != terms[i][0][1]
+                terms[i] = Polynomial(ring, r).monic().terms
+            i += 1
+    return [Polynomial(ring, t) for t in terms]
 
 
 def _buchberger(ring, gens, pair_cap):
@@ -199,7 +209,10 @@ def _buchberger(ring, gens, pair_cap):
     heap = []
 
     def join(t):
+        single = len(gb_terms[t]) == 1
         for k, lcm in _update(leads, active, pairs, t):
+            if single and len(gb_terms[k]) == 1:
+                continue  # the S-polynomial of two monomials is 0
             pairs[k, t] = lcm
             heapq.heappush(heap, (ring.key(lcm), k, t))
 
@@ -366,13 +379,14 @@ class Ideal:
         if not self.gens:
             self._gb = ()
             return self._gb
-        key = _cache_key(self.ring, self.gens)
+        key = (self.ring, frozenset(g.terms for g in self.gens))
         hit = _memory_cache.get(key)
         if hit is not None:
             self._gb = tuple(Polynomial(self.ring, t) for t in hit)
             return self._gb
         if _cache_dir:
-            loaded = _disk_load(self.ring, self.gens, key)
+            name = _cache_key(self.ring, self.gens)
+            loaded = _disk_load(self.ring, self.gens, name)
             if loaded is not None:
                 self._gb = loaded
                 _memory_cache[key] = tuple(g.terms for g in loaded)
@@ -381,7 +395,7 @@ class Ideal:
         self._gb = gb
         _memory_cache[key] = tuple(g.terms for g in gb)
         if _cache_dir:
-            _disk_store(self.ring, gb, key)
+            _disk_store(self.ring, gb, name)
         return gb
 
     def canonical_strings(self):

@@ -18,7 +18,7 @@ print/parse round-trips stay inside the stricter grammar.
 """
 
 from dataclasses import dataclass
-from operator import mul
+from operator import add, le, mul, sub
 
 from . import _kernel
 from .errors import ContextMismatchError, InputError, ParseError
@@ -37,6 +37,12 @@ class MonomialOrder:
     kind: str
     block: int = 0
     weights: tuple = None
+
+    def __post_init__(self):
+        # a tuple, so that the order (and every ring and polynomial over it)
+        # hashes whatever sequence the weights were given as
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(self.weights))
 
     def weight_matrix(self, nvars):
         """Integer rows w with key(e) = (w_0 . e, w_1 . e, ...).
@@ -64,6 +70,27 @@ class MonomialOrder:
         return f"elim({self.block})" if self.kind == "elim" else self.kind
 
 
+_weight_rows = {}
+
+
+def _order_rows(order, nvars):
+    """The weight matrix of `order` on nvars variables and its sparse form,
+    built once per process.
+
+    The sparse form has one (i, w) per row: a row whose one nonzero entry
+    is w at i, or (-1, row) for a row with more than one.
+    """
+    rows = _weight_rows.get((order, nvars))
+    if rows is None:
+        wm = order.weight_matrix(nvars)
+        sparse = []
+        for w in wm:
+            nonzero = [(i, x) for i, x in enumerate(w) if x]
+            sparse.append(nonzero[0] if len(nonzero) == 1 else (-1, w))
+        rows = _weight_rows[order, nvars] = (wm, tuple(sparse))
+    return rows
+
+
 def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
@@ -87,20 +114,20 @@ def elim_order(block):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a, weights=None):
@@ -112,7 +139,7 @@ def mono_degree(a, weights=None):
 class PolyRing:
     """A polynomial ring F_p[names] with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "nvars", "_wm", "_index")
+    __slots__ = ("field", "names", "order", "nvars", "_wm", "_rows", "_index")
 
     def __init__(self, field, names, order=GREVLEX):
         if not isinstance(field, PrimeField):
@@ -124,7 +151,7 @@ class PolyRing:
         self.names = names
         self.order = order
         self.nvars = len(names)
-        self._wm = order.weight_matrix(self.nvars)
+        self._wm, self._rows = _order_rows(order, self.nvars)
         self._index = {n: i for i, n in enumerate(names)}
 
     @property
@@ -148,7 +175,8 @@ class PolyRing:
         return f"F_{self.p}[{','.join(self.names)}; {self.order}]"
 
     def key(self, mono):
-        return tuple(sum(map(mul, w, mono)) for w in self._wm)
+        """The weight matrix times mono, one product per one-entry row."""
+        return tuple([w * mono[i] if i >= 0 else sum(map(mul, w, mono)) for i, w in self._rows])
 
     # --- constructors -------------------------------------------------------
 

@@ -161,6 +161,51 @@ def test_zoo_row_builds_no_pair_queue_and_no_final_reduction(name, monkeypatch):
     assert work == {"_buchberger": 1}
 
 
+def _count_interreduce_normal_forms(monkeypatch):
+    """Normal forms taken inside `_interreduce`, with the memory cache cleared."""
+    count = Counter()
+    inside = []
+
+    def counted_nf(*args, original=groebner._normal_form_terms):
+        count["normal_forms"] += bool(inside)
+        return original(*args)
+
+    def counted_interreduce(*args, original=groebner._interreduce):
+        inside.append(True)
+        try:
+            return original(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(groebner, "_normal_form_terms", counted_nf)
+    monkeypatch.setattr(groebner, "_interreduce", counted_interreduce)
+    monkeypatch.setattr(groebner, "_cache_dir", None)
+    clear_memory_cache()
+    return count
+
+
+def test_interreduce_stops_when_no_lead_moves(monkeypatch):
+    # a+b reduces by b+c to a+2c: its tail moves, its lead stays, and b+c
+    # is already reduced against a, so one pass of two normal forms ends it
+    count = _count_interreduce_normal_forms(monkeypatch)
+    R = ring(3, ("a", "b", "c"))
+    out = groebner._interreduce([R.parse("a + b"), R.parse("b + c")], R)
+    assert [str(g) for g in out] == ["a + 2*c", "b + c"]
+    assert count["normal_forms"] == 2
+
+
+# normal forms inside _interreduce for a verdict from the ring file; a whole
+# further pass after every change took 949, 12 and 6
+INTERREDUCE_NORMAL_FORMS = {"general_lines12_p13": 741, "octahedron_p5": 12, "w16_p17": 6}
+
+
+@pytest.mark.parametrize("name", sorted(INTERREDUCE_NORMAL_FORMS))
+def test_interreduce_normal_forms_per_verdict(name, monkeypatch):
+    count = _count_interreduce_normal_forms(monkeypatch)
+    zoo_row(_ring_file(os.path.join(DATA, name + ".json")), RunConfig())
+    assert count["normal_forms"] == INTERREDUCE_NORMAL_FORMS[name]
+
+
 # --- normal form and membership ---------------------------------------------------
 
 
@@ -190,6 +235,58 @@ def buchberger_cases(draw):
 @example(ideal(["x*y", "x*z", "y*z", "T1 - x - y - z"], 3, ("x", "y", "z", "T1")))
 def test_gb_matches_criterion_free_buchberger(I):
     assert I.canonical_strings() == buchberger_oracle(I)
+
+
+def _spoly_calls(monkeypatch):
+    """The (f, g) pairs `_spoly` receives, with the memory cache cleared."""
+    calls = []
+
+    def recorded(f, g, lcm, original=groebner._spoly):
+        calls.append((f, g))
+        return original(f, g, lcm)
+
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    clear_memory_cache()
+    return calls
+
+
+def test_no_spair_of_two_monomials_on_the_k_prime_of_six_lines(monkeypatch):
+    # K' of six coordinate lines: 20 of the 40 pairs Gebauer-Moeller keeps
+    # are pairs of two monomials x_i*x_j, whose S-polynomial is 0
+    names = [f"x{i}" for i in range(6)]
+    graded = GradedRing.from_dict(
+        {
+            "char": 2,
+            "vars": names,
+            "relations": [f"{a}*{b}" for i, a in enumerate(names) for b in names[i + 1 :]],
+            "sop": ["+".join(names)],
+        }
+    )
+    calls = _spoly_calls(monkeypatch)
+    gb = Ideal(graded.ring, graded.relations.gens).groebner_basis()
+    assert len(calls) == 20
+    assert not any(len(f.terms) == 1 and len(g.terms) == 1 for f, g in calls)
+    assert len(gb) == 16
+
+
+@st.composite
+def monomial_ideals(draw):
+    """1-6 monomials of total degree at most 4 in 2-4 variables over F_3."""
+    n = draw(st.integers(2, 4))
+    R = ring(3, ("a", "b", "c", "d")[:n])
+    monomial = st.tuples(*[st.integers(0, 3)] * n).filter(lambda e: sum(e) <= 4)
+    return Ideal(R, [R.monomial(e) for e in draw(st.lists(monomial, min_size=1, max_size=6))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(monomial_ideals(), buchberger_cases()))
+def test_no_spair_of_two_monomials(I):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _spoly_calls(monkeypatch)
+        assert I.canonical_strings() == buchberger_oracle(I)
+    assert not any(len(f.terms) == 1 and len(g.terms) == 1 for f, g in calls)
+    if all(len(g.terms) == 1 for g in I.gens):
+        assert not calls
 
 
 def test_gb_pair_budget_on_a_bracket_power():
@@ -557,6 +654,41 @@ def test_cache_keys_tell_weighted_orders_apart(tmp_path):
     finally:
         set_cache_dir(None)
         clear_memory_cache()
+
+
+def test_memory_cache_takes_no_disk_key(monkeypatch):
+    # with the disk cache off, no generator is printed or hashed
+    def unused(*args):
+        raise AssertionError("_cache_key called with the disk cache off")
+
+    monkeypatch.setattr(groebner, "_cache_key", unused)
+    monkeypatch.setattr(groebner, "_cache_dir", None)
+    clear_memory_cache()
+    with open(os.path.join(ZOO, "expectations.json")) as fh:
+        expected = json.load(fh)["lines4_p5"]
+    assert zoo_row(_ring_file(os.path.join(ZOO, "lines4_p5.json")), RunConfig()) == expected
+
+
+def test_reordered_and_repeated_generators_share_a_memory_entry(monkeypatch):
+    work = _count_buchberger_work(monkeypatch)
+    R = ring(3, ("x", "y", "z"))
+    f, g, h = R.parse("x^2 - y*z"), R.parse("y^2 - x*z"), R.parse("z^2 - x*y")
+    first = Ideal(R, [f, g, h]).canonical_strings()
+    assert Ideal(R, [h, f, g, f, h]).canonical_strings() == first
+    assert Ideal(R, [g.scale(1), h, f]).canonical_strings() == first
+    assert work["_buchberger"] == 1 and len(groebner._memory_cache) == 1
+
+
+def test_memory_cache_tells_weighted_orders_apart(monkeypatch):
+    # the rings of the disk test above, without clearing the memory cache
+    # in between: the weighted ring must get its own entry
+    work = _count_buchberger_work(monkeypatch)
+    gens = ["2*z^2*x^2 + z^2*y", "x^2*y^2 + 2*z*y"]
+    plain = PolyRing(PrimeField(3), ("z", "x", "y"))
+    weighted = PolyRing(PrimeField(3), ("z", "x", "y"), MonomialOrder("grevlex", weights=(2, 1, 1)))
+    assert Ideal.parse(plain, gens).canonical_strings()[-1] == "z^2*y^3 + 2*z^3*y"
+    assert Ideal.parse(weighted, gens).canonical_strings()[-1] == "z^3*y + 2*z^2*y^3"
+    assert work["_buchberger"] == 2 and len(groebner._memory_cache) == 2
 
 
 def test_corrupt_disk_cache_is_ignored(tmp_path):

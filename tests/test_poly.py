@@ -7,6 +7,7 @@ import frobstab._kernel as kernel
 from frobstab._kernel import _ref
 from frobstab.errors import ContextMismatchError, InputError, ParseError
 from frobstab.field import PrimeField
+from frobstab.groebner import Ideal
 from frobstab.poly import GREVLEX, LEX, MonomialOrder, PolyRing, elim_order
 
 from helpers import naive_mul, naive_pow, random_poly, seeded
@@ -207,14 +208,39 @@ def test_orders_are_total_and_multiplicative():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from([LEX, GREVLEX, elim_order(1), elim_order(2)]),
+    st.sampled_from(
+        [LEX, GREVLEX, MonomialOrder("grevlex", weights=(2, 1, 3)), elim_order(1), elim_order(2)]
+    ),
     st.lists(st.integers(0, 60), min_size=3, max_size=3),
 )
 def test_key_is_the_weight_matrix_dot_product(order, mono):
+    # the key reads the order's rows sparsely; the kernels take the dense _wm
     R = ring(p=5, names=("x", "y", "z"), order=order)
-    rows = order.weight_matrix(3)
+    assert R._wm == order.weight_matrix(3)
     mono = tuple(mono)
-    assert R.key(mono) == tuple(sum(w[i] * mono[i] for i in range(3)) for w in rows)
+    assert R.key(mono) == tuple(sum(w[i] * mono[i] for i in range(3)) for w in R._wm)
+
+
+def test_order_rows_are_built_once_per_order_and_size():
+    weighted = MonomialOrder("grevlex", weights=(2, 1, 1))
+    R = ring(p=3, names=("z", "x", "y"), order=weighted)
+    S = ring(p=5, names=("u", "v", "w"), order=MonomialOrder("grevlex", weights=(2, 1, 1)))
+    assert R._wm is S._wm and R._rows is S._rows
+    assert ring(names=("x", "y", "z"))._rows is not ring(names=("x", "y"))._rows
+
+
+def test_list_weights_give_the_tuple_order():
+    # a list would leave the order, its rings and their polynomials unhashable
+    listed = MonomialOrder("grevlex", weights=[2, 1, 1])
+    plain = MonomialOrder("grevlex", weights=(2, 1, 1))
+    assert listed == plain and hash(listed) == hash(plain)
+    R = ring(p=3, names=("z", "x", "y"), order=listed)
+    f = R.parse("x^2*y^2 + 2*z*y")
+    assert hash(f) == hash(ring(p=3, names=("z", "x", "y"), order=plain).parse("x^2*y^2 + 2*z*y"))
+    gens = [R.parse("2*z^2*x^2 + z^2*y"), f]
+    assert [str(g) for g in Ideal(R, gens).groebner_basis()] == [
+        "x^2*y^2 + 2*z*y", "z^2*x^2 + 2*z^2*y", "z^3*y + 2*z^2*y^3"
+    ]
 
 
 def test_separately_built_rings_compare_equal():
