@@ -8,7 +8,7 @@ cross-validate each other.
 
 from ._kernel import implementation as kernel_implementation
 from .config import RunConfig
-from .field import ExtField, PrimeField
+from .field import ExtField, FiniteExtension, PrimeField
 from .frobenius import (
     ClosureReport,
     bracket_power,
@@ -18,7 +18,6 @@ from .frobenius import (
 )
 from .groebner import Ideal, StaircaseBasis, socle_basis
 from .imperfect import (
-    FiniteExtension,
     TensorNilpotentWitness,
     build_example_extension,
     find_nilpotent_in_tensor,

@@ -1,15 +1,19 @@
-"""Exact arithmetic for prime fields F_p and small extensions F_{p^n}.
+"""Exact arithmetic for prime fields F_p and simple extensions base[y]/(f).
 
-Elements of F_p are plain ints in [0, p).  Elements of F_{p^n} are tuples
-of n ints: coordinates in the power basis 1, x, ..., x^{n-1} of the
-modulus.  Both field classes expose the same protocol (zero, one, add,
-sub, mul, neg, inv, frobenius, ...) so the linear algebra in
-:mod:`frobstab.linalg` works over either, and over the rational function
-field of :mod:`frobstab.ratfun` as well.
+Elements of F_p are plain ints in [0, p).  `FiniteExtension` computes in
+base[y]/(f) for a monic f over any field object: elements are tuples of
+coordinates in the power basis 1, y, ..., y^(n-1).  `ExtField` is the
+field F_{p^n}, a FiniteExtension of F_p by an irreducible f; the
+imperfect-field demo uses a FiniteExtension of the rational function
+field of :mod:`frobstab.ratfun`.  The fields expose one protocol (zero,
+one, add, sub, mul, neg, inv, frobenius, ...) so the linear algebra in
+:mod:`frobstab.linalg` works over each of them.
 
 p is limited to 31 bits so that coefficient products fit in 64-bit
 machine integers, which is what the compiled kernels assume.
 """
+
+from itertools import product
 
 from .errors import InputError
 
@@ -96,110 +100,150 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over F_p, used only to run ExtField
-# arithmetic.  Polynomials are coefficient lists, low degree first, with a
-# nonzero last entry ([] is the zero polynomial).
+# univariate polynomials over a field object F, as coefficient lists, low
+# degree first, with a nonzero last entry ([] is the zero polynomial).
 # ---------------------------------------------------------------------------
 
 
-def _trim(c):
-    while c and c[-1] == 0:
+def _trim(c, zero):
+    while c and c[-1] == zero:
         c.pop()
     return c
 
 
-def _uadd(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return _trim(out)
-
-
-def _uscale(a, c, p):
-    return _trim([(x * c) % p for x in a])
-
-
-def _umul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _trim(out)
-
-
-def _udivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    a = list(a)
-    binv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        c = (a[-1] * binv) % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i, y in enumerate(b):
-            a[d + i] = (a[d + i] - c * y) % p
-        _trim(a)
-    return _trim(q), a
-
-
-def _ugcd(a, b, p):
-    while b:
-        a, b = b, _udivmod(a, b, p)[1]
-    if a:
-        a = _uscale(a, pow(a[-1], p - 2, p), p)
+def _urem(a, f, F):
+    """The remainder of a by the monic f: each top term c*y^(d+n) becomes
+    -c*y^d times the tail of f, whose zero coefficients are skipped."""
+    n = len(f) - 1
+    tail = [(i, c) for i, c in enumerate(f[:-1]) if c != F.zero]
+    a = _trim(list(a), F.zero)
+    while len(a) > n:
+        top = a.pop()
+        d = len(a) - n
+        for i, c in tail:
+            a[d + i] = F.sub(a[d + i], F.mul(top, c))
+        _trim(a, F.zero)
     return a
 
 
-def _upowmod(a, n, mod, p):
-    result = [1]
-    base = _udivmod(a, mod, p)[1]
-    while n:
-        if n & 1:
-            result = _udivmod(_umul(result, base, p), mod, p)[1]
-        base = _udivmod(_umul(base, base, p), mod, p)[1]
-        n >>= 1
-    return result
+def _ugcd(f, g, F):
+    """The gcd of the monic f and g, monic."""
+    while g:
+        lead_inv = F.inv(g[-1])
+        g = [F.mul(c, lead_inv) for c in g]
+        f, g = g, _urem(f, g, F)
+    return f
 
 
-def _is_irreducible(modulus, p):
-    # f of degree n is irreducible over F_p iff it shares no factor with
-    # x^(p^k) - x for any k <= n/2: a reducible f would have an irreducible
-    # factor of some degree k <= n/2, and every such factor divides
-    # x^(p^k) - x.
-    n = len(modulus) - 1
-    if n < 1:
-        return False
-    for k in range(1, n // 2 + 1):
-        xpk = _upowmod([0, 1], p**k, modulus, p)
-        g = _uadd(xpk, _uscale([0, 1], p - 1, p), p)
-        if len(_ugcd(g, modulus, p)) != 1:
-            return False
-    return True
+class FiniteExtension:
+    """base[y]/(modulus) for a monic modulus over a field object.
 
-
-class ExtField:
-    """The field F_{p^n} presented as F_p[x]/(modulus)."""
+    Elements are coordinate tuples in the power basis 1, y, ..., y^(n-1).
+    The modulus need not be irreducible, so this is a ring: the imperfect
+    demo's witness is a kernel computation and certifies non-reducedness
+    either way, and `ExtField` adds what a field needs.
+    """
 
     __slots__ = ("base", "degree", "modulus")
 
     def __init__(self, base, modulus):
-        if not isinstance(base, PrimeField):
-            raise InputError("ExtField base must be a PrimeField")
-        modulus = tuple(c % base.p for c in modulus)
-        if len(modulus) < 2 or modulus[-1] != 1:
+        modulus = tuple(modulus)
+        if len(modulus) < 2 or modulus[-1] != base.one:
             raise InputError("modulus must be monic of degree >= 1")
-        if not _is_irreducible(list(modulus), base.p):
-            raise InputError("modulus is reducible over the base field")
         self.base = base
         self.degree = len(modulus) - 1
         self.modulus = modulus
+
+    @property
+    def p(self):
+        return self.base.p
+
+    @property
+    def zero(self):
+        return (self.base.zero,) * self.degree
+
+    @property
+    def one(self):
+        return (self.base.one,) + (self.base.zero,) * (self.degree - 1)
+
+    def element(self, coords):
+        coords = tuple(coords)
+        if len(coords) != self.degree:
+            raise InputError("coordinate vector has the wrong length")
+        # adding to the base's zero coerces a coordinate, mod p over F_p
+        return self.add(self.zero, coords)
+
+    def _reduce(self, coeffs):
+        """The coordinates of the polynomial with these coefficients."""
+        rem = _urem(coeffs, self.modulus, self.base)
+        return tuple(rem) + (self.base.zero,) * (self.degree - len(rem))
+
+    def y_power(self, k):
+        """Coordinates of y^k, reduced against the monic modulus."""
+        return self._reduce([self.base.zero] * k + [self.base.one])
+
+    def add(self, a, b):
+        return tuple(map(self.base.add, a, b))
+
+    def sub(self, a, b):
+        return tuple(map(self.base.sub, a, b))
+
+    def neg(self, a):
+        return tuple(map(self.base.neg, a))
+
+    def scale(self, c, a):
+        return tuple(self.base.mul(c, x) for x in a)
+
+    def mul(self, a, b):
+        base, zero = self.base, self.base.zero
+        prod = [zero] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x != zero:
+                for j, y in enumerate(b):
+                    if y != zero:
+                        prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+        return self._reduce(prod)
+
+    def pow(self, a, n):
+        """a^n by square-and-multiply, with no squaring after the last bit."""
+        result = None
+        while n:
+            if n & 1:
+                result = a if result is None else self.mul(result, a)
+            n >>= 1
+            if n:
+                a = self.mul(a, a)
+        return self.one if result is None else result
+
+    def is_zero(self, a):
+        return all(x == self.base.zero for x in a)
+
+
+def _is_irreducible(R):
+    # the modulus f of R = F_p[y]/(f), of degree n, is irreducible iff it
+    # shares no factor with y^(p^k) - y for any k <= n/2: a reducible f
+    # would have an irreducible factor of some degree k <= n/2, and every
+    # such factor divides y^(p^k) - y
+    y = power = R.y_power(1)
+    for _ in range(R.degree // 2):
+        power = R.pow(power, R.p)
+        g = _trim(list(R.sub(power, y)), R.base.zero)
+        if len(_ugcd(list(R.modulus), g, R.base)) != 1:
+            return False
+    return True
+
+
+class ExtField(FiniteExtension):
+    """The field F_{p^n} presented as F_p[y]/(modulus), modulus irreducible."""
+
+    __slots__ = ()
+
+    def __init__(self, base, modulus):
+        if not isinstance(base, PrimeField):
+            raise InputError("ExtField base must be a PrimeField")
+        super().__init__(base, map(base.element, modulus))
+        if not _is_irreducible(self):
+            raise InputError("modulus is reducible over the base field")
 
     @classmethod
     def of_order(cls, p, n):
@@ -208,77 +252,21 @@ class ExtField:
         if n == 1:
             raise InputError("use PrimeField for n = 1")
         for tail in _counting_tuples(n, p):
-            modulus = tail + (1,)
-            if _is_irreducible(list(modulus), p):
-                return cls(base, modulus)
+            if _is_irreducible(FiniteExtension(base, tail + (1,))):
+                return cls(base, tail + (1,))
         raise AssertionError("no irreducible modulus found")  # unreachable
 
     @property
-    def p(self):
-        return self.base.p
-
-    @property
     def order(self):
-        return self.base.p**self.degree
-
-    @property
-    def zero(self):
-        return (0,) * self.degree
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.degree - 1)
-
-    def element(self, coords):
-        coords = tuple(c % self.p for c in coords)
-        if len(coords) != self.degree:
-            raise InputError("coordinate vector has the wrong length")
-        return coords
+        return self.p**self.degree
 
     def from_base(self, a):
         return (a % self.p,) + (0,) * (self.degree - 1)
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        prod = _umul(_trim(list(a)), _trim(list(b)), self.p)
-        rem = _udivmod(prod, list(self.modulus), self.p)[1]
-        return tuple(rem + [0] * (self.degree - len(rem)))
-
     def inv(self, a):
-        ap = _trim(list(a))
-        if not ap:
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in extension field")
-        # extended euclid against the modulus
-        r0, r1 = list(self.modulus), ap
-        t0, t1 = [], [1]
-        p = self.p
-        while r1:
-            q, r = _udivmod(r0, r1, p)
-            r0, r1 = r1, r
-            t0, t1 = t1, _uadd(t0, _uscale(_umul(q, t1, p), p - 1, p), p)
-        t0 = _uscale(t0, pow(r0[0], p - 2, p), p)
-        return tuple(t0 + [0] * (self.degree - len(t0)))
-
-    def pow(self, a, n):
-        result = self.one
-        base = a
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+        return self.pow(a, self.order - 2)  # the unit group has order p^n - 1
 
     def frobenius(self, a, e=1):
         return self.pow(a, self.p**e)
@@ -289,8 +277,7 @@ class ExtField:
         return self.pow(a, self.p**k) if k else a
 
     def elements(self):
-        for coords in _counting_tuples(self.degree, self.p):
-            yield coords
+        return _counting_tuples(self.degree, self.p)
 
     def __eq__(self, other):
         return (
@@ -307,11 +294,5 @@ class ExtField:
 
 
 def _counting_tuples(length, radix):
-    """All tuples in [0, radix)^length, counting order."""
-    total = radix**length
-    for code in range(total):
-        out = []
-        for _ in range(length):
-            out.append(code % radix)
-            code //= radix
-        yield tuple(out)
+    """All tuples in [0, radix)^length, counting order (first entry fastest)."""
+    return (t[::-1] for t in product(range(radix), repeat=length))

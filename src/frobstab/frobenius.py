@@ -6,11 +6,12 @@ relation ideal K separately.  Bracket powers raise only the ideal's own
 generators and then fold K back in.
 
 Frobenius roots (the minimal J with I contained in J^[q]) are exact over
-the polynomial ring, where Frobenius is flat.  That same flatness makes
-every ideal of S Frobenius closed, so the root-based closure chain is
-only used when there are no relations.  In a proper quotient the closure
-piece {x : x^q in I^[q] + K} is *not* a Frobenius root, and computing it
-as one can overshoot all the way to the unit ideal; instead it is solved
+the polynomial ring, where Frobenius is flat.  That same flatness (Kunz:
+S is regular) makes every ideal of S Frobenius closed, so with no
+relations the closure is I itself, certified without a chain.  In a
+proper quotient the closure piece {x : x^q in I^[q] + K} is *not* a
+Frobenius root, and computing it as one can overshoot all the way to the
+unit ideal; instead it is solved
 exactly by linear algebra on the finite staircase carrier: over F_p the
 map x -> x^q is additive with fixed coefficients, so membership of x^q
 in a fixed ideal is a linear condition on the staircase coordinates of x.
@@ -100,39 +101,20 @@ class ClosureReport:
         }
 
 
-def _is_variable_power_sequence(I):
-    seen = set()
-    for g in I.gens:
-        if len(g.terms) != 1:
-            return False
-        _c, exps = g.terms[0]
-        support = [i for i, x in enumerate(exps) if x]
-        if len(support) != 1 or support[0] in seen:
-            return False
-        seen.add(support[0])
-    return bool(I.gens)
-
-
 def frobenius_closure(I, e_max=DEFAULT_E_MAX, window=DEFAULT_WINDOW, relations=None):
     """The chain of e-th closure pieces of I in S/K, with its status."""
     if e_max < 1 or window < 1:
         raise InputError("e_max and window must be positive")
-    ring = I.ring
+    if relations is None or not relations.gens:
+        # S = F_p[vars] is regular, so Frobenius is flat (Kunz) and every
+        # ideal of S is Frobenius closed
+        return ClosureReport(I, CERTIFIED_TRIVIAL, [(0, I)])
     stored = _with_relations(I, relations)
-    no_relations = relations is None or not relations.gens
-    if no_relations and _is_variable_power_sequence(stored):
-        # regular ambient ring, variable-power regular sequence: closed by
-        # flatness of Frobenius
-        return ClosureReport(stored, CERTIFIED_TRIVIAL, [(0, stored)])
-    if no_relations:
-        pieces = _root_chain_pieces(I, e_max)
-    else:
-        pieces = _contraction_chain_pieces(I, relations, stored, e_max)
     chain = [(0, stored)]
     status = BUDGET_EXHAUSTED
     equal_run = 0
     prev = stored
-    for e, piece in pieces:
+    for e, piece in _contraction_chain_pieces(I, relations, stored, e_max):
         if not piece.contains_ideal(prev):
             raise InconsistencyError("closure chain failed to ascend")
         chain.append((e, piece))
@@ -142,11 +124,6 @@ def frobenius_closure(I, e_max=DEFAULT_E_MAX, window=DEFAULT_WINDOW, relations=N
             status = STABILIZED
             break
     return ClosureReport(chain[-1][1], status, chain)
-
-
-def _root_chain_pieces(I, e_max):
-    for e in range(1, e_max + 1):
-        yield e, frobenius_root(bracket_power(I, e), e)
 
 
 def _contraction_chain_pieces(I, relations, stored, e_max):

@@ -17,14 +17,17 @@ the ring's order, so ideal equality is a string comparison of canonical
 forms.  Resource caps fail loudly instead of degrading the answer.
 
 The input is interreduced first: monic, no term of an element divisible
-by another's lead, and sorted as `_reduce_basis` sorts.  A further pass
-of the interreduction runs only when the last one moved a lead.  The
-engine then skips work in three cases, all exact.  When no variable
-divides two of its leads, the product criterion drops every pair, and no
-pair queue is built.  When every S-polynomial reduces to zero, the input
-is a basis already reduced, and the reduced basis is unique, so no final
-reduction runs.  No pair of two monomials is queued: its S-polynomial is
-exactly 0, so leaving it out keeps criterion B sound.
+by another's lead, and sorted ascending by lead.  A further pass of the
+interreduction runs only when the last one moved a lead.  The same
+routine ends the run when the pair loop joined an element: on a Groebner
+basis the non-minimal elements reduce to 0 and the minimal ones keep
+their leads, so one pass gives the reduced basis.  The engine skips work
+in three cases, all exact.  When no variable divides two of its leads,
+the product criterion drops every pair, and no pair queue is built.
+When every S-polynomial reduces to zero, the input is a basis already
+reduced, and the reduced basis is unique, so no final interreduction
+runs.  No pair of two monomials is queued: its S-polynomial is exactly
+0, so leaving it out keeps criterion B sound.
 
 Bases are cached in memory for the process, keyed by the ring and the set
 of the generators' term tuples, so reordered or repeated generators share
@@ -189,9 +192,9 @@ def _buchberger(ring, gens, pair_cap):
     if not G:
         return ()
     # G is monic, interreduced and ascending, so once it is a basis it is
-    # the reduced one, the output of _reduce_basis.  With pairwise coprime
-    # leads (no variable divides two of them) the product criterion drops
-    # every pair, so it is a basis already
+    # the reduced one.  With pairwise coprime leads (no variable divides
+    # two of them) the product criterion drops every pair, so it is a
+    # basis already
     leads = [g.lm() for g in G]
     if all(sum(1 for lead in leads if lead[i]) <= 1 for i in range(ring.nvars)):
         return tuple(G)
@@ -245,7 +248,7 @@ def _buchberger(ring, gens, pair_cap):
         join(len(G) - 1)
     if len(G) == given:
         return tuple(G)  # every S-polynomial reduced to zero
-    return _reduce_basis(G, ring)
+    return tuple(sorted(_interreduce(G, ring), key=lambda g: ring.key(g.lm())))
 
 
 def _update(leads, active, pairs, t):
@@ -292,24 +295,6 @@ def _limit_error(message, ring, gens):
         f"{message} in F_{ring.p}[{', '.join(ring.names)}] "
         f"on {len(gens)} generators of top degree {top}"
     )
-
-
-def _reduce_basis(G, ring):
-    # minimalize: a divisor is strictly smaller in any monomial order, so
-    # an ascending scan sees every lead before its multiples
-    items = sorted(G, key=lambda g: (ring.key(g.lm()), g.terms))
-    minimal = []
-    for g in items:
-        if not any(mono_divides(h.lm(), g.lm()) for h in minimal):
-            minimal.append(g)
-    # autoreduce in one pass: no lead of a minimal basis divides another,
-    # so each element keeps its lead (and the ascending order) while its
-    # tail, all below that lead, reduces to the unique normal form
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = [h.terms for j, h in enumerate(minimal) if j != i]
-        reduced.append(Polynomial(ring, _normal_form_terms(g.terms, others, ring)).monic())
-    return tuple(reduced)
 
 
 # --- staircases ---------------------------------------------------------------

@@ -1,115 +1,22 @@
 """Non-reducedness of k^(1/p) tensor L for an inseparable extension L/k.
 
 Works over the imperfect field k = F_p(u, v) with the finite extension
-L = k[y]/(y^(2p) + u y^p - v).  A nonzero kernel vector (a_1, ..., a_h)
-of the p-th power matrix with some a_i outside k^p certifies a nonzero
-nilpotent sum a_i^(1/p) (x) b_i in the tensor: its p-th power collapses
-to 1 (x) sum a_i b_i^p = 0, while the non-p-th-power coefficient keeps
-the element itself away from zero.
+L = k[y]/(y^(2p) + u y^p - v), a `frobstab.field.FiniteExtension`; this
+module holds only the demo on top of it.  A nonzero kernel vector
+(a_1, ..., a_h) of the p-th power matrix with some a_i outside k^p
+certifies a nonzero nilpotent sum a_i^(1/p) (x) b_i in the tensor: its
+p-th power collapses to 1 (x) sum a_i b_i^p = 0, while the
+non-p-th-power coefficient keeps the element itself away from zero.
 """
 
 from dataclasses import dataclass
 
 from .errors import InputError
+from .field import FiniteExtension
 from .linalg import kernel
 from .ratfun import RatFunField
 
 MAX_DEMO_P = 7
-
-
-class FiniteExtension:
-    """k[y]/(modulus) for a monic modulus over the rational function field.
-
-    Elements are coordinate tuples in the power basis 1, y, ..., y^(n-1).
-    The modulus is not required to be irreducible: the nilpotent witness
-    is a kernel computation and certifies non-reducedness either way.
-    """
-
-    def __init__(self, base, modulus):
-        if not isinstance(base, RatFunField):
-            raise InputError("extension base must be a rational function field")
-        modulus = tuple(modulus)
-        if len(modulus) < 2 or modulus[-1] != base.one:
-            raise InputError("modulus must be monic of degree >= 1")
-        self.base = base
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-
-    @property
-    def p(self):
-        return self.base.p
-
-    @property
-    def zero(self):
-        return (self.base.zero,) * self.degree
-
-    @property
-    def one(self):
-        if self.degree == 0:
-            raise InputError("degenerate extension")
-        return (self.base.one,) + (self.base.zero,) * (self.degree - 1)
-
-    def element(self, coords):
-        coords = tuple(coords)
-        if len(coords) != self.degree:
-            raise InputError("coordinate vector has the wrong length")
-        return coords
-
-    def y_power(self, k):
-        """Coordinates of y^k, reduced against the monic modulus."""
-        base = self.base
-        coords = [base.zero] * self.degree
-        if k < self.degree:
-            coords[k] = base.one
-            return tuple(coords)
-        work = [base.zero] * self.degree
-        work[self.degree - 1] = base.one
-        for _ in range(k - (self.degree - 1)):
-            spill = work[-1]
-            work = [base.zero] + work[:-1]
-            if spill != base.zero:
-                for i in range(self.degree):
-                    work[i] = base.sub(work[i], base.mul(spill, self.modulus[i]))
-        return tuple(work)
-
-    def add(self, a, b):
-        return tuple(self.base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(self.base.sub(x, y) for x, y in zip(a, b))
-
-    def scale(self, c, a):
-        return tuple(self.base.mul(c, x) for x in a)
-
-    def mul(self, a, b):
-        base = self.base
-        n = self.degree
-        conv = [base.zero] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x == base.zero:
-                continue
-            for j, y in enumerate(b):
-                if y == base.zero:
-                    continue
-                conv[i + j] = base.add(conv[i + j], base.mul(x, y))
-        out = [base.zero] * n
-        for deg in range(len(conv)):
-            coeff = conv[deg]
-            if coeff == base.zero:
-                continue
-            ypow = self.y_power(deg)
-            for i in range(n):
-                out[i] = base.add(out[i], base.mul(coeff, ypow[i]))
-        return tuple(out)
-
-    def power(self, a, k):
-        out = self.one
-        for _ in range(k):
-            out = self.mul(out, a)
-        return out
-
-    def is_zero(self, a):
-        return all(x == self.base.zero for x in a)
 
 
 def build_example_extension(p):
@@ -176,7 +83,7 @@ def find_nilpotent_in_tensor(L):
         for j, a in enumerate(vec):
             if a.is_zero():
                 continue
-            term = L.scale(a, L.power(L.y_power(j), L.p))
+            term = L.scale(a, L.pow(L.y_power(j), L.p))
             total = L.add(total, term)
         if not L.is_zero(total):
             raise AssertionError("kernel vector failed the direct relation check")

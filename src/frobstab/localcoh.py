@@ -37,6 +37,15 @@ CM_FAILED = "failed"
 ZERO_SCAN = 4
 
 
+def _list_of(value, key, kinds=(str,)):
+    """value as a tuple, when it is a list whose entries' types are among
+    kinds: a bool is no degree, nor is a string a list of names."""
+    if type(value) not in (list, tuple) or any(type(x) not in kinds for x in value):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise InputError(f"ring file key {key!r} must be a list of {names} entries")
+    return tuple(value)
+
+
 class GradedRing:
     """Graded quotient F_p[vars]/K with a homogeneous sop: `ring`, `relations`,
     `sop`, `weights` are S', K', T_i, their weights; `user_*`, `degrees` the input."""
@@ -78,22 +87,29 @@ class GradedRing:
     @classmethod
     def from_dict(cls, data):
         """Build from the ring-file schema (see the CLI docs)."""
+        if not isinstance(data, dict):
+            raise InputError("a ring file must hold a JSON object")
+        name, degrees = data.get("name"), data.get("degrees")
+        if name is not None and type(name) is not str:
+            raise InputError("ring file key 'name' must be a str")
         try:
             field = PrimeField(data["char"])
-            names = tuple(data["vars"])
-            degrees = tuple(data.get("degrees") or (1,) * len(names))
+            names = _list_of(data["vars"], "vars")
+            if degrees is None:
+                degrees = [1] * len(names)
+            degrees = _list_of(degrees, "degrees", (int,))
             ring = PolyRing(field, names, GREVLEX)
-            relations = [ring.parse(s) for s in data.get("relations", [])]
-            sop = [ring.parse(s) for s in data["sop"]]
+            relations = [ring.parse(s) for s in _list_of(data.get("relations", []), "relations")]
+            sop = [ring.parse(s) for s in _list_of(data["sop"], "sop")]
             primes = None
             if data.get("minimal_primes") is not None:
                 primes = [
-                    Ideal(ring, [ring.parse(s) for s in gens])
-                    for gens in data["minimal_primes"]
+                    Ideal(ring, [ring.parse(s) for s in _list_of(gens, "minimal_primes")])
+                    for gens in _list_of(data["minimal_primes"], "minimal_primes", (list, tuple))
                 ]
         except KeyError as missing:
             raise InputError(f"ring file is missing the key {missing}") from None
-        return cls(field, names, degrees, relations, sop, primes, name=data.get("name"))
+        return cls(field, names, degrees, relations, sop, primes, name=name)
 
     def _validate(self):
         for g in self.user_relations.gens:

@@ -271,7 +271,7 @@ def test_criterion_10_imperfect_witness():
         assert witness is not None, p
         total = L.zero
         for j, a in enumerate(witness.coefficients):
-            total = L.add(total, L.scale(a, L.power(L.y_power(j), p)))
+            total = L.add(total, L.scale(a, L.pow(L.y_power(j), p)))
         assert L.is_zero(total), p
         cert = witness.coefficients[witness.certificate_index]
         assert cert.pth_root() is None, p

@@ -89,6 +89,56 @@ def test_malformed_ring_file_exit_2(tmp_path):
     assert code == 2
 
 
+LINES2 = {"char": 2, "vars": ["a", "b"], "relations": ["a*b"], "sop": ["a+b"]}
+AXES = {"char": 2, "vars": ["x", "y", "z"], "relations": ["x*y", "x*z", "y*z"], "sop": ["x+y+z"]}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["not", "an", "object"],
+        {**LINES2, "degrees": ["x", 1]},
+        {**LINES2, "degrees": [1.5, 1]},
+        {**LINES2, "degrees": [True, 1]},
+        {**LINES2, "degrees": True},
+        {**LINES2, "degrees": 0},
+        {**LINES2, "degrees": []},
+        {**LINES2, "relations": [1]},
+        {"char": 2, "vars": ["a", "b"], "relations": "a", "sop": ["b"]},
+        {"char": 2, "vars": ["a"], "relations": [], "sop": "a"},
+        {**LINES2, "vars": "ab"},
+        {**LINES2, "minimal_primes": ["a", "b"]},
+        {**AXES, "minimal_primes": [["x", "y"], ["x", "z"], "yz"]},
+        {**LINES2, "name": ["x", {"y": 1}]},
+        {**LINES2, "name": 0},
+    ],
+    ids=[
+        "not-an-object",
+        "string-degree",
+        "float-degree",
+        "bool-degree",
+        "bool-degrees",
+        "zero-degrees",
+        "empty-degrees",
+        "int-relation",
+        "string-relations",
+        "string-sop",
+        "string-vars",
+        "string-primes",
+        "string-prime",
+        "list-name",
+        "zero-name",
+    ],
+)
+def test_malformed_ring_schema_exit_2(data, tmp_path, capsys):
+    # each was a traceback (exit 1) or read as something else (exit 0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _ = run(["stability", "--ring", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ideal_subcommands():
     code, text = run(
         ["ideal", "bracket", "--ring", ring_path("lines2_p2"), "--gens", "a, b", "--e", "1", "--json"]
@@ -145,12 +195,55 @@ def test_ideal_parse_error_exit_2():
     assert code == 2
 
 
+# the demo's witness JSON byte for byte: the extension arithmetic under it
+# may change, the witness may not
+DEMO_WITNESS_JSON = {
+    2: """{
+  "basis": [
+    "1",
+    "y",
+    "y^2",
+    "y^3"
+  ],
+  "certificate_index": 0,
+  "p": 2,
+  "relation": [
+    "v",
+    "u",
+    "1",
+    "0"
+  ]
+}
+""",
+    3: """{
+  "basis": [
+    "1",
+    "y",
+    "y^2",
+    "y^3",
+    "y^4",
+    "y^5"
+  ],
+  "certificate_index": 0,
+  "p": 3,
+  "relation": [
+    "2*v",
+    "u",
+    "1",
+    "0",
+    "0",
+    "0"
+  ]
+}
+""",
+}
+
+
 def test_demo_imperfect_json():
-    code, text = run(["demo", "imperfect", "--p", "2", "--json"])
-    assert code == 0
-    data = json.loads(text)
-    assert data["certificate_index"] == 0
-    assert data["relation"][0] == "v"
+    for p, expected in DEMO_WITNESS_JSON.items():
+        code, text = run(["demo", "imperfect", "--p", str(p), "--json"])
+        assert code == 0
+        assert text == expected
 
 
 def test_json_reports_are_byte_identical():

@@ -5,7 +5,9 @@ import random
 import pytest
 
 from frobstab.errors import InputError
-from frobstab.field import ExtField, PrimeField, is_prime
+from frobstab.field import ExtField, FiniteExtension, PrimeField, is_prime
+from frobstab.groebner import Ideal
+from frobstab.poly import PolyRing
 
 
 def test_primality_check():
@@ -82,3 +84,30 @@ def test_frobenius_is_additive_on_extension():
     for a in els:
         for b in els:
             assert F9.frobenius(F9.add(a, b)) == F9.add(F9.frobenius(a), F9.frobenius(b))
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_ext_field_mul_is_the_normal_form_modulo_the_modulus(p, n):
+    # an independent route: a*b in F_p[y], reduced by the Groebner basis
+    # of the principal ideal of the modulus
+    F = ExtField.of_order(p, n)
+    R = PolyRing(PrimeField(p), ("y",))
+    poly = lambda coords: R.from_dict({(i,): c for i, c in enumerate(coords) if c})
+    modulus = Ideal(R, [poly(F.modulus)])
+    elements = list(F.elements())
+    for a in elements:
+        for b in elements:
+            nf = modulus.normal_form(poly(a) * poly(b))
+            coords = [0] * n
+            for c, (i,) in nf.terms:
+                coords[i] = c
+            assert F.mul(a, b) == tuple(coords)
+
+
+def test_finite_extension_with_a_reducible_modulus():
+    # F_2[y]/(y^2) is a ring with the nilpotent y, not a field
+    R = FiniteExtension(PrimeField(2), (0, 0, 1))
+    y = R.y_power(1)
+    assert y == (0, 1)
+    assert R.mul(y, y) == R.zero == R.y_power(2)
+    assert R.is_zero(R.pow(y, 5)) and R.pow(y, 0) == R.one

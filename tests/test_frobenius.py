@@ -201,9 +201,11 @@ def test_closure_certified_trivial_variable_powers():
 
 
 def test_closure_polynomial_ring_generic_ideal():
-    # no relations: everything is closed by flatness; the chain confirms it
+    # no relations: everything is closed by flatness of Frobenius (Kunz),
+    # a proof, so no chain is run
     report = frobenius_closure(ideal(["a + b^2", "a*b"]))
-    assert report.status == STABILIZED
+    assert report.status == CERTIFIED_TRIVIAL
+    assert [e for e, _J in report.chain] == [0]
     assert report.closure.equals(ideal(["a + b^2", "a*b"]))
 
 

@@ -109,10 +109,10 @@ def test_gb_is_reduced():
 
 
 def _count_buchberger_work(monkeypatch):
-    """Counts of Buchberger runs, Gebauer-Moeller updates and final
-    reductions, with the memory cache cleared and the disk cache off."""
+    """Counts of Buchberger runs, Gebauer-Moeller updates and
+    interreductions, with the memory cache cleared and the disk cache off."""
     work = Counter()
-    for name in ("_buchberger", "_update", "_reduce_basis"):
+    for name in ("_buchberger", "_update", "_interreduce"):
 
         def counted(*args, name=name, original=getattr(groebner, name)):
             work[name] += 1
@@ -149,7 +149,8 @@ def test_component_check_builds_no_pair_queue_and_no_final_reduction(path, monke
     n = len(graded.minimal_primes)
     assert connected_components_check(graded, n - 1)["components"] == n
     runs = COMPONENT_RUNS[os.path.basename(path).rsplit("_p", 1)[0]]
-    assert work == {"_buchberger": runs}
+    # one interreduction per run: of the input, none at the end
+    assert work == {"_buchberger": runs, "_interreduce": runs}
 
 
 @pytest.mark.parametrize("name", ["cubic_zxy_p43", "octahedron_p5"])
@@ -158,7 +159,7 @@ def test_zoo_row_builds_no_pair_queue_and_no_final_reduction(name, monkeypatch):
     # GradedRing's own sop check), whose leads interreduce to coprime ones
     work = _count_buchberger_work(monkeypatch)
     zoo_row(_ring_file(os.path.join(DATA, name + ".json")), RunConfig())
-    assert work == {"_buchberger": 1}
+    assert work == {"_buchberger": 1, "_interreduce": 1}
 
 
 def _count_interreduce_normal_forms(monkeypatch):
