@@ -76,15 +76,18 @@ def build_parser():
     return parser
 
 
-def _load_ring(path):
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as err:
-        raise InputError(f"cannot read ring file: {err}") from None
+        raise InputError(f"cannot read {what}: {err}") from None
     except ValueError as err:
-        raise InputError(f"ring file is not valid JSON: {err}") from None
-    return GradedRing.from_dict(data)
+        raise InputError(f"{what} is not valid JSON: {err}") from None
+
+
+def _load_ring(path):
+    return GradedRing.from_dict(_read_json(path, "ring file"))
 
 
 def _emit(report, as_json, out):
@@ -233,8 +236,9 @@ def cmd_zoo(args, out):
     expectations = {}
     expect_path = os.path.join(directory, "expectations.json")
     if os.path.exists(expect_path):
-        with open(expect_path) as fh:
-            expectations = json.load(fh)
+        expectations = _read_json(expect_path, "expectations file")
+        if not isinstance(expectations, dict):
+            raise InputError("expectations file must be a JSON object of rows by ring name")
     rows = []
     for fname in names:
         graded = _load_ring(os.path.join(directory, fname))

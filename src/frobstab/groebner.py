@@ -199,8 +199,10 @@ def _buchberger(ring, gens, pair_cap):
     if all(sum(1 for lead in leads if lead[i]) <= 1 for i in range(ring.nvars)):
         return tuple(G)
     # the cap guards against runaway growth, not against legitimately
-    # large inputs such as bracket powers
-    eff_cap = max(DEFAULT_DEGREE_CAP, 2 * max(g.degree() for g in G) + 4)
+    # large inputs such as bracket powers or the (f) and (g) of a gcd: an
+    # S-polynomial of two inputs has degree up to the sum of theirs
+    top, second = heapq.nlargest(2, (g.degree() for g in G))
+    eff_cap = max(DEFAULT_DEGREE_CAP, 2 * (top + second) + 4)
     # normal selection strategy: smallest lcm in the order first, with the
     # pair index as a deterministic tie-break; keys are computed once.
     # `pairs` maps each live pair to its lcm, and a heap entry whose pair
@@ -355,9 +357,10 @@ class Ideal:
 
         `pair_cap` bounds the S-pairs that survive the Gebauer-Moeller
         criteria, that is the S-polynomials actually reduced;
-        DEFAULT_DEGREE_CAP bounds their degrees (raised to fit bracket-power
-        inputs).  Either cap raises ResourceLimitError instead of returning
-        a partial basis.
+        DEFAULT_DEGREE_CAP bounds their degrees, raised to twice the sum of
+        the two largest input degrees plus 4 so that bracket powers and the
+        (f) and (g) of an intersection fit.  Either cap raises
+        ResourceLimitError instead of returning a partial basis.
         """
         if self._gb is not None:
             return self._gb
@@ -439,13 +442,7 @@ class Ideal:
         if len(f.terms) == 1 and not any(f.lm()):
             return Ideal(self.ring, self.gens)  # colon by a unit
         inter = self.intersect(Ideal(self.ring, [f]))
-        out = []
-        for g in inter.gens:
-            q, r = _kernel.divmod_terms(g.terms, [f.terms], self.ring.p, self.ring._wm, True)
-            if r:
-                raise AssertionError("intersection element not divisible in colon")
-            out.append(Polynomial(self.ring, q[0]))
-        return Ideal(self.ring, out)
+        return Ideal(self.ring, [g.exact_quotient(f) for g in inter.gens])
 
     # --- staircases and quotient structure ---------------------------------------
 

@@ -21,8 +21,22 @@ from dataclasses import dataclass
 from operator import add, le, mul, sub
 
 from . import _kernel
-from .errors import ContextMismatchError, InputError, ParseError
+from .errors import ContextMismatchError, InputError, ParseError, ResourceLimitError
 from .field import PrimeField
+
+# The compiled term kernel holds exponents and order keys in 64-bit
+# integers.  The weights are positive and every other order row has
+# entries 0 and +-1, so no key of a term below this weighted degree
+# reaches it, and a sum of two keys stays inside 64 bits.
+DEGREE_LIMIT = 1 << 62
+
+
+def _check_degree(degree):
+    """Raise ResourceLimitError for a term of weighted degree >= 2^62."""
+    if degree >= DEGREE_LIMIT:
+        raise ResourceLimitError(
+            f"a term of weighted degree {degree} reaches 2^62, past the 64-bit term kernel"
+        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +153,7 @@ def mono_degree(a, weights=None):
 class PolyRing:
     """A polynomial ring F_p[names] with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "nvars", "_wm", "_rows", "_index")
+    __slots__ = ("field", "names", "order", "nvars", "_wm", "_rows", "_index", "_wdeg")
 
     def __init__(self, field, names, order=GREVLEX):
         if not isinstance(field, PrimeField):
@@ -153,6 +167,11 @@ class PolyRing:
         self.nvars = len(names)
         self._wm, self._rows = _order_rows(order, self.nvars)
         self._index = {n: i for i, n in enumerate(names)}
+        weights = order.weights
+        if weights is None or set(weights) == {1}:
+            self._wdeg = sum
+        else:
+            self._wdeg = lambda e: sum(map(mul, weights, e))
 
     @property
     def p(self):
@@ -205,8 +224,9 @@ class PolyRing:
     def monomial(self, exps, coeff=1):
         coeff %= self.p
         exps = tuple(exps)
-        if len(exps) != self.nvars or any(e < 0 for e in exps):
+        if len(exps) != self.nvars or min(exps) < 0:
             raise InputError("bad exponent vector")
+        _check_degree(self._wdeg(exps))
         if coeff == 0:
             return self.zero()
         return Polynomial(self, ((coeff, exps),))
@@ -214,10 +234,12 @@ class PolyRing:
     def from_dict(self, coeffs):
         """Polynomial from {monomial: coefficient}; reduces and sorts."""
         terms = []
+        wdeg = self._wdeg
         for e, c in coeffs.items():
             e = tuple(e)
-            if len(e) != self.nvars or any(x < 0 for x in e):
+            if len(e) != self.nvars or min(e) < 0:
                 raise InputError("bad exponent vector")
+            _check_degree(wdeg(e))
             c %= self.p
             if c:
                 terms.append((c, e))
@@ -282,6 +304,15 @@ class Polynomial:
             return -1
         return max(sum(e) for _c, e in self.terms)
 
+    def weighted_degree(self):
+        """Top degree under the order's weights (all 1 when it has none); -1 for zero."""
+        if not self.terms:
+            return -1
+        wdeg = self.ring._wdeg
+        if self.ring.order.kind == "grevlex":
+            return wdeg(self.terms[0][1])  # the order's first row is this degree
+        return max(wdeg(e) for _c, e in self.terms)
+
     def homogeneous_degree(self, weights=None):
         """Common weighted degree of all terms, or None if inhomogeneous."""
         if not self.terms:
@@ -337,6 +368,8 @@ class Polynomial:
     def __pow__(self, n):
         if n < 0:
             raise InputError("negative polynomial power")
+        # F_p[vars] is a domain: the top degree of self^n is n times self's
+        _check_degree(n * self.weighted_degree())
         result = self.ring.one()
         base = self
         while n:
@@ -345,6 +378,15 @@ class Polynomial:
             base = base * base
             n >>= 1
         return result
+
+    def exact_quotient(self, divisor):
+        """self / divisor; raises ValueError when the division leaves a remainder."""
+        self._check(divisor)
+        r = self.ring
+        q, rem = _kernel.divmod_terms(self.terms, [divisor.terms], r.p, r._wm, True)
+        if rem:
+            raise ValueError(f"{divisor} does not divide {self}")
+        return Polynomial(r, q[0])
 
     def __eq__(self, other):
         return (
@@ -375,6 +417,7 @@ class Polynomial:
         if e == 0 or not self.terms:
             return self
         q = self.ring.p**e
+        _check_degree(q * self.weighted_degree())
         return Polynomial(
             self.ring, tuple((c, tuple(x * q for x in e_)) for c, e_ in self.terms)
         )
@@ -468,7 +511,9 @@ class _Parser:
         result = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            result = result * self.factor()
+            factor = self.factor()
+            _check_degree(result.weighted_degree() + factor.weighted_degree())
+            result = result * factor
         return result
 
     def factor(self):

@@ -2,101 +2,27 @@
 
 A RationalFunction is a normalized pair of polynomials: gcd(num, den) = 1
 and the denominator is monic under the grevlex leading term, so equal
-values have identical representations.  The gcd is computed by a
-primitive polynomial remainder sequence: pseudo-division in the main
-variable with univariate-style content extraction of the coefficients at
-every step (no subresultant bookkeeping).
+values have identical representations.  The gcd comes from the Groebner
+engine: F_p[u, v, ...] is a UFD, so (f) and (g) meet in the principal
+ideal (lcm(f, g)), whose reduced basis is the monic lcm L, and
+gcd(f, g) = f*g / L by one exact division.
 """
 
 from .errors import ContextMismatchError, InputError
 from .field import PrimeField
+from .groebner import Ideal
 from .poly import GREVLEX, PolyRing
-
-
-def _deg_in(f, i):
-    if f.is_zero():
-        return -1
-    return max(e[i] for _c, e in f.terms)
-
-
-def _coeff_of_power(f, i, d):
-    """Coefficient of var_i^d in f, as a polynomial with var_i removed."""
-    ring = f.ring
-    picked = {}
-    for c, e in f.terms:
-        if e[i] == d:
-            key = tuple(0 if j == i else x for j, x in enumerate(e))
-            picked[key] = (picked.get(key, 0) + c) % ring.p
-    return ring.from_dict(picked)
-
-
-def _divides_exactly(f, g):
-    """f / g; raises when the division is not exact."""
-    from . import _kernel
-    from .poly import Polynomial
-
-    ring = f.ring
-    q, r = _kernel.divmod_terms(f.terms, [g.terms], ring.p, ring._wm, True)
-    if r:
-        raise AssertionError("expected exact division in gcd routine")
-    return Polynomial(ring, q[0])
-
-
-def _prem(f, g, i):
-    """Pseudo-remainder of f by g in the variable with index i."""
-    ring = f.ring
-    dg = _deg_in(g, i)
-    lc_g = _coeff_of_power(g, i, dg)
-    r = f
-    while not r.is_zero() and _deg_in(r, i) >= dg:
-        dr = _deg_in(r, i)
-        lc_r = _coeff_of_power(r, i, dr)
-        shift = ring.monomial(tuple(dr - dg if j == i else 0 for j in range(ring.nvars)))
-        r = lc_g * r - lc_r * shift * g
-    return r
 
 
 def poly_gcd(f, g):
     """Monic gcd of two polynomials over F_p, any number of variables."""
-    ring = f.ring
     if f.is_zero():
-        return g.monic() if not g.is_zero() else g
+        return g.monic()
     if g.is_zero():
         return f.monic()
-    main = None
-    for i in range(ring.nvars):
-        if _deg_in(f, i) > 0 or _deg_in(g, i) > 0:
-            main = i
-            break
-    if main is None:
-        return ring.one()  # both are nonzero constants
-    cf = _content(f, main)
-    cg = _content(g, main)
-    ff = _divides_exactly(f, cf)
-    gg = _divides_exactly(g, cg)
-    if _deg_in(ff, main) < _deg_in(gg, main):
-        ff, gg = gg, ff
-    while not gg.is_zero():
-        r = _prem(ff, gg, main)
-        ff = gg
-        if r.is_zero():
-            gg = ring.zero()
-        else:
-            gg = _divides_exactly(r, _content(r, main))
-    return (poly_gcd(cf, cg) * ff).monic()
-
-
-def _content(f, i):
-    """gcd of the var_i-coefficients of f (a polynomial without var_i)."""
     ring = f.ring
-    acc = ring.zero()
-    for d in range(_deg_in(f, i) + 1):
-        c = _coeff_of_power(f, i, d)
-        if not c.is_zero():
-            acc = poly_gcd(acc, c)
-            if acc == ring.one():
-                break
-    return acc
+    (lcm,) = Ideal(ring, [f]).intersect(Ideal(ring, [g])).groebner_basis()
+    return (f * g).exact_quotient(lcm).monic()
 
 
 class RationalFunction:
@@ -115,8 +41,8 @@ class RationalFunction:
             else:
                 g = poly_gcd(num, den)
                 if g != num.ring.one():
-                    num = _divides_exactly(num, g)
-                    den = _divides_exactly(den, g)
+                    num = num.exact_quotient(g)
+                    den = den.exact_quotient(g)
             lc = den.lc()
             if lc != 1:
                 inv = den.ring.field.inv(lc)

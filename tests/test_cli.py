@@ -292,3 +292,34 @@ def test_zoo_empty_dir_exit_2(tmp_path):
     empty.mkdir()
     code, _ = run(["zoo", "--dir", str(empty)])
     assert code == 2
+
+
+def test_zoo_malformed_expectations_exit_2(tmp_path, capsys):
+    # invalid JSON and a JSON list were tracebacks (exit 1)
+    small = tmp_path / "zoo"
+    small.mkdir()
+    shutil.copy(ring_path("poly1_p2"), small / "poly1_p2.json")
+    for text in ("{not json", json.dumps(["poly1_p2"])):
+        (small / "expectations.json").write_text(text)
+        code, _ = run(["zoo", "--dir", str(small), "--json"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: expectations file ")
+
+
+def test_terms_past_the_64_bit_kernel_exit_3(tmp_path, capsys):
+    # the compiled kernel printed a wrong normal form for the first and an
+    # OverflowError traceback for the second; both kernels now refuse them
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({**LINES2, "relations": [], "sop": ["a", "b"]}))
+    big = "a^4611686018427387904*b^4611686018427387904+a"
+    code, _ = run(["ideal", "member", "--ring", str(plane), "--gens", big, "--poly", "a"])
+    assert code == 3
+    bracket = ["ideal", "bracket", "--ring", ring_path("lines2_p2"), "--gens", "a+b", "--json"]
+    code, _ = run(bracket + ["--e", "63"])
+    assert code == 3
+    assert capsys.readouterr().err.count("resource limit: ") == 2
+    code, text = run(bracket + ["--e", "61"])
+    assert code == 0
+    assert json.loads(text)["result"] == [
+        "a*b", "a^2305843009213693952 + b^2305843009213693952", "b^2305843009213693953"
+    ]

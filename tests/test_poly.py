@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import frobstab._kernel as kernel
 from frobstab._kernel import _ref
-from frobstab.errors import ContextMismatchError, InputError, ParseError
+from frobstab.errors import ContextMismatchError, InputError, ParseError, ResourceLimitError
 from frobstab.field import PrimeField
 from frobstab.groebner import Ideal
-from frobstab.poly import GREVLEX, LEX, MonomialOrder, PolyRing, elim_order
+from frobstab.poly import DEGREE_LIMIT, GREVLEX, LEX, MonomialOrder, PolyRing, elim_order
 
 from helpers import naive_mul, naive_pow, random_poly, seeded
 
@@ -257,3 +257,54 @@ def test_order_is_a_well_order_one_divides_everything():
     R = ring(p=2, names=("x", "y"))
     for mono in [(1, 0), (0, 1), (3, 2)]:
         assert R.key((0, 0)) < R.key(mono)
+
+
+# --- the 2^62 degree bound of the term kernels ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda R: R.monomial((DEGREE_LIMIT, 0)),
+        lambda R: R.monomial((DEGREE_LIMIT // 2, DEGREE_LIMIT // 2)),
+        lambda R: R.from_dict({(1, 0): 1, (DEGREE_LIMIT - 1, 1): 1}),
+        lambda R: R.var("a").frobenius(62),
+        lambda R: (R.var("a") + R.var("b")) ** DEGREE_LIMIT,
+        lambda R: R.parse("a^4611686018427387904"),
+        lambda R: R.parse("a^4611686018427387903*b"),
+    ],
+    ids=["monomial", "monomial-split", "from-dict", "frobenius", "power", "parse-power",
+         "parse-product"],
+)
+def test_terms_of_weighted_degree_2_62_raise_on_any_kernel(make):
+    with pytest.raises(ResourceLimitError, match="2\\^62"):
+        make(ring(p=2))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [GREVLEX, MonomialOrder("grevlex", weights=(3, 1, 2)), LEX, elim_order(1)],
+    ids=["grevlex", "weighted", "lex", "elim"],
+)
+def test_weighted_degree_is_the_top_degree_of_any_term(order):
+    R = ring(p=3, names=("a", "b", "c"), order=order)
+    w = order.weights or (1, 1, 1)
+    rng = seeded(808)
+    for _ in range(30):
+        f = random_poly(R, rng, max_terms=5, max_exp=4)
+        top = max((sum(x * y for x, y in zip(w, e)) for _c, e in f.terms), default=-1)
+        assert f.weighted_degree() == top
+
+
+def test_weights_count_toward_the_degree_bound():
+    R = ring(p=2, order=MonomialOrder("grevlex", weights=(3, 1)))
+    R.monomial((0, DEGREE_LIMIT - 1))
+    with pytest.raises(ResourceLimitError):
+        R.monomial((DEGREE_LIMIT // 3 + 1, 0))
+
+
+def test_terms_just_below_the_degree_bound_keep_their_order():
+    R = ring(p=2)
+    f = R.parse("a^4611686018427387902*b + a")
+    assert str(f) == "a^4611686018427387902*b + a"
+    assert str(R.var("a").frobenius(61)) == "a^2305843009213693952"

@@ -37,7 +37,43 @@ def test_gcd_random_products_share_the_planted_factor(k):
         from frobstab import _kernel
 
         _q, rem = _kernel.divmod_terms(g.terms, [h.monic().terms], R.p, R._wm, True)
+        assert not rem
         assert poly_gcd(g, h) == h.monic()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_gcd_of_products_of_linear_forms_is_the_shared_part(p):
+    # distinct monic linear forms are pairwise coprime primes of F_p[u, v],
+    # so the gcd is the product of the shared forms at their smaller
+    # multiplicity: an exact value found without any gcd code
+    R = RatFunField(p).ring
+    u, v = R.var("u"), R.var("v")
+    forms = [u + v.scale(c) + R.const(d) for c in range(p) for d in range(p)]
+    forms += [v + R.const(d) for d in range(p)]
+    rng = seeded(2024 + p)
+    for _ in range(40):
+        picked = rng.sample(forms, 4)
+        mult_f = [rng.randint(0, 2) for _ in picked]
+        mult_g = [rng.randint(0, 2) for _ in picked]
+        f = R.const(rng.randint(1, p - 1))
+        g = R.const(rng.randint(1, p - 1))
+        shared = R.one()
+        for form, a, b in zip(picked, mult_f, mult_g):
+            f = f * form**a
+            g = g * form**b
+            shared = shared * form ** min(a, b)
+        assert poly_gcd(f, g) == shared
+
+
+def test_gcd_past_the_default_degree_cap():
+    # the elimination behind (f) ∩ (g) reaches S-polynomial degree 76 here,
+    # past a cap of 2 * 35 + 4 set by the larger input alone; the gcd is
+    # the one the remainder-sequence gcd gave
+    R = RatFunField(2).ring
+    h = R.parse("u + v + 1")
+    a = R.parse("u^33 + u^26*v^7 + u^9*v^7 + u^7*v")
+    b = R.parse("u^33 + v^33 + u^3*v^11 + u^7*v^6")
+    assert poly_gcd(h * a, h * b) == h
 
 
 def test_normalization_idempotent_and_canonical(k):
