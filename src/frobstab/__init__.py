@@ -30,14 +30,13 @@ from .semilinear import SemilinearOperator, Subspace
 from .stability import (
     ChainReport,
     StabilityReport,
-    annihilator_prime_candidates,
+    compatible_closure,
     connected_components_check,
     f_stability,
     frobenius_annihilator,
     frobenius_colon_chain,
     is_f_injective_cm,
     is_f_stable_certified,
-    sample_frobenius_annihilators,
     socle_stability_search,
 )
 

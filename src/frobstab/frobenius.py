@@ -52,10 +52,11 @@ def bracket_power(I, e, relations=None):
 def frobenius_root(I, e=1, relations=None):
     """The smallest J with I + K contained in J^[p^e] (polynomial ring).
 
-    Computed by decomposing each reduced-basis element over the free
-    p-restricted monomial basis, g = sum h_mu^p x^mu, and collecting the
-    h_mu; iterated e times.  Coefficients of F_p are their own p-th
-    roots.  Monomial exponents come out as floor(a / p^e).
+    Computed by decomposing each generator over the free p-restricted
+    monomial basis, g = sum h_mu^p x^mu, and collecting the h_mu; iterated
+    e times.  g lies in J^[p] exactly when every h_mu lies in J, so any
+    generating set will do.  Coefficients of F_p are their own p-th roots.
+    Monomial exponents come out as floor(a / p^e).
     """
     if e < 1:
         raise InputError("frobenius root needs e >= 1")
@@ -69,7 +70,7 @@ def _root_once(I):
     ring = I.ring
     p = ring.p
     out = []
-    for g in I.groebner_basis():
+    for g in I.gens:
         buckets = {}
         for c, exps in g.terms:
             mu = tuple(x % p for x in exps)

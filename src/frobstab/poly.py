@@ -34,8 +34,10 @@ DEGREE_LIMIT = 1 << 62
 def _check_degree(degree):
     """Raise ResourceLimitError for a term of weighted degree >= 2^62."""
     if degree >= DEGREE_LIMIT:
+        # a bound, not the number: that can be past Python's int-to-str limit
         raise ResourceLimitError(
-            f"a term of weighted degree {degree} reaches 2^62, past the 64-bit term kernel"
+            f"a term of weighted degree 2^{degree.bit_length() - 1} or more reaches 2^62, "
+            "past the 64-bit term kernel"
         )
 
 
@@ -414,10 +416,12 @@ class Polynomial:
         Fermat, so only exponents scale)."""
         if e < 0:
             raise InputError("negative Frobenius power")
-        if e == 0 or not self.terms:
-            return self
-        q = self.ring.p**e
-        _check_degree(q * self.weighted_degree())
+        degree = self.weighted_degree()
+        if e == 0 or degree <= 0:
+            return self  # zero, or a constant, which Fermat fixes
+        # p >= 2, so from e = 62 on the bound fails without forming p^e
+        q = self.ring.p**e if e < 62 else DEGREE_LIMIT
+        _check_degree(q * degree)
         return Polynomial(
             self.ring, tuple((c, tuple(x * q for x in e_)) for c, e_ in self.terms)
         )
@@ -466,7 +470,10 @@ def _tokenize(text):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(("int", int(text[i:j]), i))
+            try:
+                tokens.append(("int", int(text[i:j]), i))
+            except ValueError:  # past Python's limit on int-from-str conversion
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
             i = j
             continue
         if ch.isalpha() or ch == "_":

@@ -35,8 +35,9 @@ I_t^[q] a truncation ideal, stop after `window` consecutive equality
 comparisons.  A chain that never stabilizes (the colon of 1 in a
 polynomial ring, for instance) is reported with its last element as an
 explicit upper bound and no limit is claimed.  The `window` and `e_max`
-of a RunConfig bound these chains, SURVEY_T_MAX and SURVEY_DEG_BOUND the
-classes the annihilator surveys sample; no verdict reads any of them.
+of a RunConfig bound these chains; no verdict reads either.  The
+annihilators of the F-stable submodules themselves come exactly, with
+no window, from `compatible_closure` on complete intersections.
 
 On a one-dimensional ring the component check compares the number of
 components of the punctured spectrum with 1 + stable_dim.  There the
@@ -48,14 +49,14 @@ as a basis of the span of its normal forms, which generates it.
 """
 
 import itertools
-import random
 from dataclasses import dataclass
+from math import prod
 
 from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
+from .frobenius import frobenius_root
 from .groebner import Ideal
 from .linalg import kernel, rows_from_columns, rref, solve
-from .localcoh import CohomologyClass
 from .semilinear import SemilinearOperator
 
 CHAIN_STABILIZED = "stabilized"
@@ -354,153 +355,44 @@ def f_stability(graded):
     )
 
 
-# --- annihilator surveys -----------------------------------------------------------
-
-# the surveys sample classes at truncation levels 1..SURVEY_T_MAX, random
-# numerators among them of degree at most SURVEY_DEG_BOUND
-SURVEY_T_MAX = 3
-SURVEY_DEG_BOUND = 4
+# --- Frobenius-compatible ideals ----------------------------------------------------
 
 
-@dataclass
-class AnnihilatorSurvey:
-    stabilized_limits: list
-    witnesses: dict
-    samples: int
-    not_stabilized: int
-    radical_checks: int
+def compatible_closure(graded, I):
+    """The smallest ideal J >= I + K of the user's ring with u*J <= J^[p],
+    K = (f_1..f_c) the relations and u = (f_1...f_c)^(p-1).
 
-    def distinct_count(self):
-        return len(self.stabilized_limits)
+    On a CM ring with c = n - d relations K is a complete intersection,
+    and the ideals J >= K with u*J <= J^[p] are exactly the annihilators
+    of the F-stable submodules of H^d_m(R) (Fedder; Enescu-Hochster,
+    Sharp, Katzman-Schwede), so J annihilates the largest one I kills.
+    Any other ring raises NotSupportedError.
 
-
-def _sample_classes(graded, rng):
-    """Socle classes, staircase monomial classes and random low-degree
-    numerators at small truncation levels; zero classes are skipped."""
-    ring = graded.ring
-    out = []
-    for t in range(1, SURVEY_T_MAX + 1):
-        I_t = graded.truncation_ideal(t)
-        for rep in graded.socle_of_truncation(t):
-            out.append((t, rep))
-        for mono in I_t.staircase().monomials:
-            if any(mono):
-                out.append((t, ring.monomial(mono)))
-        for _ in range(6):
-            terms = {}
-            for _t in range(3):
-                e = tuple(rng.randint(0, SURVEY_DEG_BOUND) for _ in ring.names)
-                if sum(e) <= SURVEY_DEG_BOUND:
-                    terms[e] = rng.randrange(ring.p)
-            z = I_t.normal_form(ring.from_dict(terms))
-            if not z.is_zero():
-                out.append((t, z))
-    seen = set()
-    unique = []
-    for t, z in out:
-        key = (t, z.terms)
-        if key not in seen:
-            seen.add(key)
-            unique.append((t, z))
-    return unique
-
-
-def _radical_spot_check(graded, limit_ideal, rng, samples=6):
-    """Radicality evidence: sampled f in rad(J) must lie in J."""
-    ring = graded.ring
-    checks = 0
-    for _ in range(samples):
-        terms = {}
-        for _t in range(2):
-            e = tuple(rng.randint(0, 2) for _ in ring.names)
-            terms[e] = rng.randrange(ring.p)
-        f = ring.from_dict(terms)
-        if f.is_zero():
-            continue
-        sq_member = limit_ideal.contains(f * f)
-        rad_member = limit_ideal.radical_contains(f)
-        if (sq_member or rad_member) and not limit_ideal.contains(f):
-            raise InconsistencyError(
-                f"radicality violation: {f} lies in the radical of a computed "
-                "annihilator but not in the annihilator itself"
-            )
-        checks += 1
-    return checks
-
-
-def sample_frobenius_annihilators(graded, cfg=None):
-    """Distinct stabilized annihilator limits over sampled classes.
-
-    Requires verified F-injectivity (the finiteness and radicality
-    statements assume an injective action).  Every distinct limit is
-    spot-checked for radicality; a violation is a hard error.
+    J <- J + I_1(u*J), I_1 the Frobenius root, ascends and so stops.  The
+    p-th powers of the reduced basis G of J are the reduced basis of
+    J^[p], Frobenius being an injective ring map that raises each lead to
+    its p-th power; and as I_1(J^[p]) = J, the step adds I_1 of the
+    remainders of u*g modulo J^[p].  It stops when all are zero, which is
+    the certificate u*J <= J^[p].
     """
-    cfg = cfg or RunConfig()
     graded.check_cm()
-    finj, _status = is_f_injective_cm(graded)
-    if not finj:
-        raise NotSupportedError("annihilator surveys assume an F-injective ring")
-    rng = random.Random(cfg.seed)
-    limits = {}
-    samples = 0
-    not_stabilized = 0
-    for t, z in _sample_classes(graded, rng):
-        eta = CohomologyClass(graded, t, z)
-        if eta.numerator.is_zero():
-            continue
-        chain = frobenius_annihilator(eta, cfg, expect_descending=True)
-        samples += 1
-        if chain.status != CHAIN_STABILIZED:
-            not_stabilized += 1
-            continue
-        key = tuple(chain.limit.canonical_strings())
-        limits.setdefault(key, (t, z, chain.limit))
-    checks = 0
-    for key, (_t, _z, J) in sorted(limits.items()):
-        checks += _radical_spot_check(graded, J, rng)
-    witnesses = {key: {"t": w[0], "u": str(w[1])} for key, w in limits.items()}
-    return AnnihilatorSurvey(
-        sorted(limits.keys()), witnesses, samples, not_stabilized, checks
-    )
-
-
-def annihilator_prime_candidates(graded, cfg=None):
-    """Stabilized annihilator limits that pass a primality spot-check.
-
-    The search is explicitly not exhaustive; candidates are labeled.
-    An ideal is dropped when it is the intersection of two strictly
-    larger sampled limits, and must pass the radical spot-check.
-    """
-    survey = sample_frobenius_annihilators(graded, cfg)
-    ring = graded.ring
-    pool = {}
-    for key in survey.stabilized_limits:
-        pool[key] = Ideal.parse(ring, list(key))
-    out = []
-    for key, J in pool.items():
-        if J.is_unit_ideal():
-            continue
-        composite = False
-        strictly_larger = [
-            K
-            for k2, K in pool.items()
-            if k2 != key and K.contains_ideal(J) and not J.contains_ideal(K)
-        ]
-        for i, A in enumerate(strictly_larger):
-            for B in strictly_larger[i + 1 :]:
-                if A.intersect(B).equals(J):
-                    composite = True
-        if composite:
-            continue
-        out.append(
-            {
-                "ideal": list(key),
-                "witness": survey.witnesses[key],
-                "note": "approximation: search is not exhaustive; "
-                "primality is spot-checked, not proven",
-            }
+    graded.require_cm("the compatible closure")
+    ring, relations = graded.user_ring, graded.user_relations.gens
+    if len(relations) != ring.nvars - graded.dim:
+        raise NotSupportedError(
+            "the compatible closure needs a complete intersection: "
+            f"{len(relations)} relations in {ring.nvars} variables at dimension {graded.dim}"
         )
-    return out
+    u = prod(relations, start=ring.one()) ** (graded.p - 1)
+    J = Ideal(ring, I.gens + relations)
+    while True:
+        G = J.groebner_basis()
+        powers = Ideal(ring, [g.frobenius(1) for g in G], reduced=True)
+        remainders = [r for r in (powers.normal_form(u * g) for g in G) if not r.is_zero()]
+        if not remainders:
+            return J
+        J = Ideal(ring, G + frobenius_root(Ideal(ring, remainders)).gens)
+
 
 
 # --- punctured-spectrum component count ------------------------------------------------

@@ -352,6 +352,22 @@ def diagonal_verdicts(a, d, p):
     return _fedder(power, p), _hasse_witt_rank(power, n, d, p)
 
 
+# --- compatible ideals of the coordinate hyperplanes, by supports alone ---------------
+
+
+def coordinate_hyperplanes_closure(monomials, n):
+    """The compatible closure of a monomial ideal of F_p[x_1..x_n]/(x_1...x_n)
+    as squarefree exponent tuples: the supports of the generators and x_1...x_n.
+
+    With u = (x_1...x_n)^(p-1), every squarefree monomial ideal J has
+    u*J inside J^[p], since u*x^S is divisible by (x^S)^p; the ring is
+    F-pure, so every compatible ideal is radical.  The closure of M is
+    therefore the radical of M + (x_1...x_n), whose generators are those
+    supports.  Works for every p."""
+    supports = {tuple(int(x > 0) for x in e) for e in monomials}
+    return sorted(supports | {(1,) * n})
+
+
 def _rank_mod_p(rows, p):
     rows = [list(row) for row in rows]
     rank = 0

@@ -6,7 +6,6 @@ import io
 import itertools
 import json
 import os
-import random
 
 import pytest
 
@@ -21,10 +20,10 @@ from frobstab.poly import PolyRing
 from frobstab.semilinear import SemilinearOperator, Subspace
 from frobstab.stability import (
     CHAIN_NOT_STABILIZED,
+    compatible_closure,
     f_injectivity_witness,
     f_stability,
     frobenius_colon_chain,
-    sample_frobenius_annihilators,
 )
 
 from helpers import seeded
@@ -247,18 +246,29 @@ def test_criterion_08_socle_existence_equivalence():
     ok(8, f"10000/10000 sampled injective operators match ({positives} stable)")
 
 
-def test_criterion_09_annihilator_survey_bounded(zoo_rings):
-    """Exhaustive low-degree annihilator sampling on the two-lines ring
-    yields at most 4 distinct stabilized limits, all radical."""
-    survey = sample_frobenius_annihilators(zoo_rings["lines2_p2"], CFG)
-    assert survey.samples >= 10
-    assert survey.distinct_count() <= 4
-    assert survey.radical_checks > 0  # a violation would have raised
-    # the maximal ideal of the module ring, which adjoins T1 = a + b
-    ring = zoo_rings["lines2_p2"].ring
-    m_key = tuple(Ideal.parse(ring, ["a", "b", "T1"]).canonical_strings())
-    assert m_key in survey.stabilized_limits
-    ok(9, f"{survey.distinct_count()} distinct limits (<= 4), radical checks clean")
+def test_criterion_09_compatible_ideals_exact(zoo_rings):
+    """On the two-lines ring F_2[a, b]/(ab) the compatible closures of
+    every ideal generated by monomials of degree 1 or 2, and of (a + b),
+    are exactly (ab), (a), (b) and (a, b), each an intersection of primes
+    generated by variables and so radical."""
+    graded = zoo_rings["lines2_p2"]
+    ring = graded.user_ring
+    monomials = ["a", "b", "a^2", "a*b", "b^2"]
+    inputs = [["a+b"]] + [
+        list(gens)
+        for k in range(1, len(monomials) + 1)
+        for gens in itertools.combinations(monomials, k)
+    ]
+    u = ring.parse("a*b")
+    reached = set()
+    for gens in inputs:
+        J = compatible_closure(graded, Ideal.parse(ring, gens))
+        assert all(bracket_power(J, 1).contains(u * g) for g in J.gens)
+        reached.add(tuple(J.canonical_strings()))
+    A, B = Ideal.parse(ring, ["a"]), Ideal.parse(ring, ["b"])
+    radical = [A.intersect(B), A, B, Ideal.parse(ring, ["a", "b"])]
+    assert reached == {tuple(J.canonical_strings()) for J in radical}
+    ok(9, f"{len(inputs)} closures reach exactly (ab), (a), (b), (a, b), all radical")
 
 
 def test_criterion_10_imperfect_witness():

@@ -323,3 +323,44 @@ def test_terms_past_the_64_bit_kernel_exit_3(tmp_path, capsys):
     assert json.loads(text)["result"] == [
         "a*b", "a^2305843009213693952 + b^2305843009213693952", "b^2305843009213693953"
     ]
+
+
+# --- integers past Python's 4300-digit int/str conversion limit -------------------
+
+
+def test_frobenius_degree_past_the_str_limit_exit_3(capsys):
+    # 2^100000 has 30103 digits; putting it in the message was a ValueError
+    # traceback (exit 1).  e = 10^12 must fail as fast, without forming 2^e.
+    bracket = ["ideal", "bracket", "--ring", ring_path("lines2_p2"), "--gens", "a"]
+    for e in ("100000", "1000000000000"):
+        code, _ = run(bracket + ["--e", e])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("resource limit: a term of weighted degree ")
+
+
+def test_power_degree_past_the_str_limit_exit_3(capsys):
+    # two 3000-digit exponents multiply to a 6000-digit degree
+    n = "9" * 3000
+    member = ["ideal", "member", "--ring", ring_path("lines2_p2"), "--gens", "a"]
+    code, _ = run(member + ["--poly", f"(a^{n})^{n}"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("resource limit: a term of weighted degree 2^")
+
+
+def test_frobenius_power_of_a_constant_at_any_e():
+    # Fermat fixes every constant, so its bracket power never grows
+    bracket = ["ideal", "bracket", "--ring", ring_path("lines2_p2"), "--gens", "1", "--json"]
+    code, text = run(bracket + ["--e", "100000"])
+    assert code == 0
+    assert json.loads(text)["result"] == ["1"]
+
+
+@pytest.mark.parametrize(
+    "poly", ["a^" + "9" * 5000, "9" * 5000 + "*a"], ids=["exponent", "coefficient"]
+)
+def test_literal_past_the_str_limit_exit_2(poly, capsys):
+    # an exponent or coefficient of 5000 digits was a ValueError traceback
+    member = ["ideal", "member", "--ring", ring_path("lines2_p2"), "--gens", "a"]
+    code, _ = run(member + ["--poly", poly])
+    assert code == 2
+    assert "integer literal of 5000 digits is too long" in capsys.readouterr().err

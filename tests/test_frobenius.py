@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import frobstab.groebner as groebner
 from frobstab.errors import NotSupportedError
 from frobstab.field import PrimeField
 from frobstab.frobenius import (
@@ -140,6 +141,27 @@ def test_root_bracket_round_trip_polynomial_ring():
                 assert got.contains_ideal(J)
                 assert got.equals(J)
             done += 1
+
+
+def test_root_of_a_non_basis_generating_set(monkeypatch):
+    # (a^2 + b^3, a^2 + a*b^2) is no Groebner basis: its reduced basis
+    # adds a^3 + a^2*b.  The root is read off the generators as given,
+    # with no Buchberger run on the input.
+    I = ideal(["a^2 + b^3", "a^2 + a*b^2"])
+    basis = Ideal(I.ring, I.groebner_basis())
+    assert len(basis.gens) == 3
+    runs = []
+
+    def counted(*args, original=groebner._buchberger):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
+    groebner.clear_memory_cache()
+    got = frobenius_root(I, 1)
+    assert runs == []
+    assert got.equals(frobenius_root(basis, 1))
+    assert got.equals(ideal(["a", "b"]))
 
 
 def test_root_contains_original_in_quotient():

@@ -1,5 +1,5 @@
 # The headline analyses: annihilator chains, F-injectivity, both
-# F-stability routes, annihilator surveys, component counts.
+# F-stability routes, compatible closures, component counts.
 
 import io
 import json
@@ -27,7 +27,7 @@ from frobstab.poly import PolyRing
 from frobstab.stability import (
     CHAIN_NOT_STABILIZED,
     CHAIN_STABILIZED,
-    annihilator_prime_candidates,
+    compatible_closure,
     connected_components_check,
     f_injectivity_witness,
     f_stability,
@@ -35,13 +35,13 @@ from frobstab.stability import (
     frobenius_colon_chain,
     is_f_injective_cm,
     is_f_stable_certified,
-    sample_frobenius_annihilators,
     socle_stability_search,
 )
 
 from helpers import (
     brute_force_socle_candidates,
     colon_cm_oracle,
+    coordinate_hyperplanes_closure,
     diagonal_hypersurface,
     diagonal_verdicts,
     fedder_f_injective,
@@ -818,34 +818,87 @@ def test_stability_report_json_schema(lines2):
     assert cand["status"] == "stabilized"
 
 
-# --- annihilator surveys -----------------------------------------------------------------
+# --- Frobenius-compatible closure -------------------------------------------------------
 
 
-def test_survey_two_lines_bounded_and_radical(lines2):
-    survey = sample_frobenius_annihilators(lines2)
-    assert survey.samples > 0
-    assert survey.distinct_count() <= 4
-    # the maximal ideal of the module ring, which adjoins T1 = a + b
-    expected_m = tuple(Ideal.parse(lines2.ring, ["a", "b", "T1"]).canonical_strings())
-    assert expected_m in survey.stabilized_limits
-    assert survey.radical_checks > 0
+def _check_compatible(graded, J):
+    # u*J inside J^[p], checked by Buchberger on the bracket power rather
+    # than by the reduced p-th powers the closure itself reduces against
+    ring = graded.user_ring
+    u = ring.one()
+    for f in graded.user_relations.gens:
+        u = u * f
+    u = u ** (graded.p - 1)
+    assert J.contains_ideal(graded.user_relations)
+    B = bracket_power(J, 1)
+    assert all(B.contains(u * g) for g in J.gens)
 
 
-def test_survey_requires_f_injectivity(cusp):
+def _closure(graded, gens):
+    J = compatible_closure(graded, Ideal.parse(graded.user_ring, gens))
+    _check_compatible(graded, J)
+    return J
+
+
+LINES2_CLOSURES = [
+    (["a"], ["a"]),
+    (["a*b"], ["a*b"]),
+    (["a+b"], ["a", "b"]),
+    (["b", "a^2"], ["a", "b"]),
+    (["a*b", "a^3+b^3"], ["a", "b"]),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("gens,expected", LINES2_CLOSURES)
+def test_compatible_closure_two_lines(p, gens, expected):
+    graded = _zoo_ring(f"lines2_p{p}")
+    J = _closure(graded, gens)
+    assert J.equals(Ideal.parse(graded.user_ring, expected))
+
+
+@pytest.mark.parametrize(
+    "key,gens",
+    [("zoo:cusp_p2", ["a"]), ("data:conic_p3", ["x"]), ("data:cubic_xyz_p7", ["x+y+z"])],
+)
+def test_compatible_closure_reaches_the_maximal_ideal(key, gens):
+    graded = _gate_ring(key)
+    J = _closure(graded, gens)
+    assert J.equals(Ideal(graded.user_ring, graded.user_ring.gens()))
+
+
+def test_compatible_closure_polynomial_ring_is_the_unit_ideal():
+    # no relations: u = 1, and J inside J^[p] leaves only 0 and (1)
+    J = _closure(_zoo_ring("poly1_p2"), ["a"])
+    assert J.is_unit_ideal()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([2, 3, 5]),
+    st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=3),
+)
+def test_compatible_closure_coordinate_hyperplanes_oracle(n, p, exponents):
+    # F_p[x_1..x_n]/(x_1...x_n), sop x_1 + x_2 (, x_2 + x_3)
+    names = ("x1", "x2", "x3")[:n]
+    sop = ["x1 + x2", "x2 + x3"][: n - 1]
+    graded = make(p, names, (1,) * n, ["*".join(names)], sop)
+    ring = graded.user_ring
+    monomials = [tuple(e[:n]) for e in exponents]
+    J = compatible_closure(graded, Ideal(ring, [ring.monomial(e) for e in monomials]))
+    _check_compatible(graded, J)
+    expected = coordinate_hyperplanes_closure(monomials, n)
+    assert J.equals(Ideal(ring, [ring.monomial(e) for e in expected]))
+
+
+@pytest.mark.parametrize("key", ["zoo:lines3_p2", "data:two_planes_p3"])
+def test_compatible_closure_needs_a_cm_complete_intersection(key):
+    # three lines in 3-space need three relations, not n - d = 2; two
+    # planes meeting in a point are not CM
+    graded = _gate_ring(key)
     with pytest.raises(NotSupportedError):
-        sample_frobenius_annihilators(cusp)
-
-
-def test_prime_candidates_two_lines(lines2):
-    cands = annihilator_prime_candidates(lines2)
-    ideals = [tuple(c["ideal"]) for c in cands]
-    assert tuple(Ideal.parse(lines2.ring, ["a", "b", "T1"]).canonical_strings()) in ideals
-    for c in cands:
-        assert "not exhaustive" in c["note"]
-
-
-def test_prime_candidates_poly_ring_empty(poly1):
-    assert annihilator_prime_candidates(poly1) == []
+        compatible_closure(graded, Ideal(graded.user_ring, graded.user_ring.gens()))
 
 
 # --- component counts -------------------------------------------------------------------------
