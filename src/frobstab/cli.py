@@ -208,10 +208,7 @@ def zoo_row(graded, cfg=None):
     row["stable_status"] = report.certified_status
     row["socle_found"] = report.socle.found()
     row["agreement"] = report.agreement
-    sw = report.components
-    row["sw"] = (
-        None if sw is None else {k: sw[k] for k in ("components", "formula", "agree")}
-    )
+    row["sw"] = report.components
     return row
 
 
@@ -272,8 +269,6 @@ def _print_zoo_table(rows, out):
     for r in rows:
         sw = r["sw"]
         sw_text = f"{sw['components']}={sw['formula']}" if sw else "-"
-        if sw and not sw["agree"]:
-            sw_text += "!"
         table.append(
             [
                 r["name"],

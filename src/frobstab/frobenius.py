@@ -57,12 +57,20 @@ def frobenius_root(I, e=1, relations=None):
     e times.  g lies in J^[p] exactly when every h_mu lies in J, so any
     generating set will do.  Coefficients of F_p are their own p-th roots.
     Monomial exponents come out as floor(a / p^e).
+
+    A step that returns the generators it was given returns them at every
+    later step, so the loop stops there.  Each step divides degrees by p,
+    and generators of degree < p become constants, so that happens within
+    about log_p(top degree) + 2 steps whatever e is.
     """
     if e < 1:
         raise InputError("frobenius root needs e >= 1")
     J = _with_relations(I, relations)
     for _ in range(e):
-        J = _root_once(J)
+        root = _root_once(J)
+        if root.gens == J.gens:
+            break
+        J = root
     return J
 
 

@@ -2,8 +2,8 @@
 
 Everything downstream (bracket powers, closures, truncation quotients,
 annihilator chains) reduces to the operations here: reduced Groebner
-bases, normal forms, colon ideals, intersections (by elimination), radical
-membership, staircase bases and socles.
+bases, normal forms, colon ideals, intersections (by elimination),
+staircase bases and socles.
 
 The Buchberger loop uses the normal selection strategy (smallest lcm in
 the monomial order first) and the Gebauer-Moeller update (Gebauer and
@@ -51,7 +51,6 @@ from functools import cached_property
 from . import _kernel
 from .errors import InputError, NotSupportedError, ResourceLimitError
 from .poly import (
-    GREVLEX,
     Polynomial,
     PolyRing,
     elim_order,
@@ -406,17 +405,6 @@ class Ideal:
     def equals(self, other):
         return self.contains_ideal(other) and other.contains_ideal(self)
 
-    def radical_contains(self, f):
-        """Rabinowitsch membership test: f in rad(I)."""
-        if f.is_zero():
-            raise InputError("radical membership of the zero polynomial")
-        ring2, fresh = _extended_ring(self.ring, GREVLEX, 1)
-        y = ring2.var(fresh[0])
-        lifted = [ring2.from_other(g, _shifted_positions(self.ring, 1)) for g in self.gens]
-        trick = ring2.one() - y * ring2.from_other(f, _shifted_positions(self.ring, 1))
-        J = Ideal(ring2, lifted + [trick])
-        return J.contains(ring2.one())
-
     # --- colon and intersection -------------------------------------------------
 
     def intersect(self, other):
@@ -424,9 +412,8 @@ class Ideal:
             raise InputError("intersection across different rings")
         if not self.gens or not other.gens:
             return Ideal(self.ring, ())
-        ring2, fresh = _extended_ring(self.ring, elim_order(1), 1)
-        t = ring2.var(fresh[0])
-        pos = _shifted_positions(self.ring, 1)
+        ring2, t = _extended_ring(self.ring)
+        pos = [i + 1 for i in range(self.ring.nvars)]
         lift = lambda g: ring2.from_other(g, pos)
         gens2 = [t * lift(g) for g in self.gens]
         gens2 += [(ring2.one() - t) * lift(g) for g in other.gens]
@@ -574,23 +561,13 @@ def _standard_monomials(ends, weights, degree):
     return out
 
 
-def _extended_ring(ring, order, extra):
-    """ring with `extra` fresh variables prepended, under `order`."""
-    base = "t"
-    names = []
+def _extended_ring(ring):
+    """ring with one fresh variable, t or the first free t1, t2, ...,
+    prepended under the elimination order, and that variable."""
     taken = set(ring.names)
-    i = 0
-    while len(names) < extra:
-        cand = base if i == 0 else f"{base}{i}"
-        if cand not in taken:
-            names.append(cand)
-            taken.add(cand)
-        i += 1
-    return PolyRing(ring.field, tuple(names) + ring.names, order), names
-
-
-def _shifted_positions(ring, shift):
-    return [i + shift for i in range(ring.nvars)]
+    name = next(n for n in ("t", *(f"t{i}" for i in range(1, len(taken) + 2))) if n not in taken)
+    ring2 = PolyRing(ring.field, (name,) + ring.names, elim_order(1))
+    return ring2, ring2.var(name)
 
 
 def socle_basis(ideal, maximal_ideal_gens=None):

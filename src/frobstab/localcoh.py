@@ -50,7 +50,7 @@ class GradedRing:
     """Graded quotient F_p[vars]/K with a homogeneous sop: `ring`, `relations`,
     `sop`, `weights` are S', K', T_i, their weights; `user_*`, `degrees` the input."""
 
-    def __init__(self, field, names, degrees, relations, sop, minimal_primes=None, name=None):
+    def __init__(self, field, names, degrees, relations, sop, name=None):
         user_ring = PolyRing(field, names, GREVLEX)
         # adopt the inputs' own ring object when it is this ring, so that
         # ring checks on them take the identity fast path
@@ -62,7 +62,6 @@ class GradedRing:
         self.degrees = degrees
         self.user_relations = Ideal(self.user_ring, relations)
         self.user_sop = tuple(sop)
-        self.minimal_primes = minimal_primes
         self.name = name or f"F_{field.p}[{','.join(names)}]/({', '.join(map(str, self.user_relations.gens)) or '0'})"
         self._validate()
         self.weights = degrees + tuple(x.homogeneous_degree(degrees) for x in self.user_sop)
@@ -101,24 +100,14 @@ class GradedRing:
             ring = PolyRing(field, names, GREVLEX)
             relations = [ring.parse(s) for s in _list_of(data.get("relations", []), "relations")]
             sop = [ring.parse(s) for s in _list_of(data["sop"], "sop")]
-            primes = None
-            if data.get("minimal_primes") is not None:
-                primes = [
-                    Ideal(ring, [ring.parse(s) for s in _list_of(gens, "minimal_primes")])
-                    for gens in _list_of(data["minimal_primes"], "minimal_primes", (list, tuple))
-                ]
         except KeyError as missing:
             raise InputError(f"ring file is missing the key {missing}") from None
-        return cls(field, names, degrees, relations, sop, primes, name=name)
+        return cls(field, names, degrees, relations, sop, name=name)
 
     def _validate(self):
         for g in self.user_relations.gens:
             if g.homogeneous_degree(self.degrees) is None:
                 raise InputError(f"relation {g} is not homogeneous for the given weights")
-        # minimal primes of a graded ring are homogeneous
-        for P in self.minimal_primes or ():
-            if any(g.homogeneous_degree(self.degrees) is None for g in P.gens):
-                raise InputError(f"declared prime {P!r} is not homogeneous for the given weights")
         if not self.user_sop:
             raise InputError("a nonempty system of parameters is required")
         for x in self.user_sop:

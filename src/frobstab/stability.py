@@ -40,12 +40,11 @@ annihilators of the F-stable submodules themselves come exactly, with
 no window, from `compatible_closure` on complete intersections.
 
 On a one-dimensional ring the component check compares the number of
-components of the punctured spectrum with 1 + stable_dim.  There the
-punctured spectrum is the set of minimal primes, none joined to another,
-so the check validates the declared primes as the minimal primes and
-counts them.  Their product stands in for their intersection, the two
-having one radical; it is formed modulo K', each partial product kept
-as a basis of the span of its normal forms, which generates it.
+components of the punctured spectrum, the points of Proj R over the
+algebraic closure, with 1 + stable_dim.  It counts them from the ring
+alone, as the stable dimension of Frobenius on (R_theta)_0, theta the
+sop: a third exact route, on its own carrier, whose disagreement with
+the certified one raises.
 """
 
 import itertools
@@ -56,7 +55,8 @@ from .config import RunConfig
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .frobenius import frobenius_root
 from .groebner import Ideal
-from .linalg import kernel, rows_from_columns, rref, solve
+from .linalg import kernel, rows_from_columns, solve
+from .poly import mono_degree
 from .semilinear import SemilinearOperator
 
 CHAIN_STABILIZED = "stabilized"
@@ -332,9 +332,8 @@ def f_stability(graded):
     socle candidate, or a candidate beside a zero stable part, raises.
     On a ring that is not F-injective the equivalence does not apply and
     `agreement` only records whether the two verdicts match.  On a
-    one-dimensional ring with declared minimal primes the report also
-    carries the component check, fed the certified stable dimension;
-    each phase runs once per call.
+    one-dimensional ring the report also carries the component check,
+    fed the certified stable dimension; each phase runs once per call.
     """
     graded.check_cm()
     finj = is_f_injective_cm(graded)
@@ -347,9 +346,7 @@ def f_stability(graded):
             f"{len(socle.candidates)} socle candidates on an F-injective ring; "
             "the stability equivalence is violated"
         )
-    components = None
-    if graded.dim == 1 and graded.minimal_primes:
-        components = connected_components_check(graded, dim)
+    components = connected_components_check(graded, dim) if graded.dim == 1 else None
     return StabilityReport(
         graded.name, finj, verdict, dim, status, socle, agreement, components
     )
@@ -394,78 +391,50 @@ def compatible_closure(graded, I):
         J = Ideal(ring, G + frobenius_root(Ideal(ring, remainders)).gens)
 
 
-
 # --- punctured-spectrum component count ------------------------------------------------
 
 
 def connected_components_check(graded, stable_dim):
-    """Compare punctured-spectrum components with 1 + stable_dim.
+    """Count the components of the punctured spectrum and compare the
+    count with 1 + stable_dim, which `f_stability` passes from the
+    certified route.
 
-    `stable_dim` is the dimension of the stable part that the certified
-    route (`is_f_stable_certified`) computed; `f_stability` passes its own.
-
-    In dimension one the punctured spectrum is the set of minimal primes,
-    no two of them joined, so the component count is the number of
-    declared primes once they are validated as the minimal primes: each
-    is homogeneous (checked at load), contains the relations and is not
-    m-primary; any two meet only at m; and their product lies in rad K,
-    as their intersection then does: rad(P_1...P_n) = rad(P_1 n ... n P_n).
-    For homogeneous ideals m-primary means an Artinian quotient.  Every
-    minimal prime of K then contains, and so equals, some declared prime,
-    and each declared prime is minimal, being one-dimensional.  Any
-    failure raises InputError.
-
-    Nothing checks that a declared ideal is prime.  A non-prime one can
-    only make the count smaller than the number of minimal primes of K:
-    each declared ideal contains K and is not m-primary, so it lies in a
-    minimal prime of K, and two of them in one minimal prime would meet
-    outside m.  Declaring (x, yz) and (y, z) on three lines passes every
-    check and counts 2 components, not 3.
-
-    The primes are validated in the user's ring.  The product is formed
-    in S' modulo K', whose basis the ring holds (f is in K, or in rad K,
-    exactly when its lift is in K', or in rad K'): from [1], each prime
-    replaces the list by the normal forms of g*h, h a generator of the
-    prime, cut down to a basis of their F_p-span.  A basis of the span
-    generates the same ideal modulo K', and the forms are homogeneous, so
-    no list is longer than the graded pieces of R it meets are wide.
-    A zero normal form lies in K; only the rest get a Rabinowitsch test.
-    The formula assumes an algebraically closed residue field; dimension
-    invariance of the stable part under base change is what lets the F_p
-    model stand in for that hypothesis.
+    In dimension one the components are the points of Proj R over the
+    algebraic closure.  With theta the sop, of degree delta, Proj R is
+    Spec (R_theta)_0, and (R_theta)_0 is A_0, the part of A = R/(theta - 1)
+    of degree 0 mod delta: K + (theta - 1) is homogeneous for the Z/delta
+    grading, so its reduced basis is, and the standard monomials of degree
+    0 mod delta span A_0.  Over the algebraic closure A_0 is one local
+    Artinian ring per point, on whose maximal ideal Frobenius is
+    nilpotent, and stable parts do not change under base change
+    (Hartshorne-Speiser), so the stable part of Frobenius on A_0 has one
+    dimension per point.  The Cech sequence 0 -> R_0 -> (R_theta)_0 ->
+    [H^1_m(R)]_0 -> 0 is Frobenius-equivariant and stable parts are exact,
+    so on a CM ring the count is 1 + stable_dim: a third route, on its own
+    carrier and its own Groebner basis, and any disagreement raises
+    InconsistencyError.  Nothing is read from the ring file but the ring.
     """
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
     graded.check_cm()
     graded.require_cm("the component check")
-    primes = graded.minimal_primes
-    if not primes:
-        raise InputError("minimal_primes are required for the component check")
-    for P in primes:
-        if not P.contains_ideal(graded.user_relations):
-            raise InputError(f"declared prime {P!r} does not contain the relations")
-        if P.is_artinian():
-            raise InputError(f"declared prime {P!r} is not one-dimensional")
-    for P, Q in itertools.combinations(primes, 2):
-        if not Ideal(graded.user_ring, P.gens + Q.gens).is_artinian():
-            raise InputError(f"declared primes {P!r} and {Q!r} meet outside the maximal ideal")
-    ring, rel = graded.ring, graded.relations
-    product = [ring.one()]
-    for P in primes:
-        lifted = [ring.from_other(h) for h in P.gens]
-        forms = [rel.normal_form(g * h) for g in product for h in lifted]
-        rows = rows_from_columns([{e: c for c, e in f.terms} for f in forms], ring.field)
-        product = [forms[i] for i in rref(rows, ring.field)[1]]
-    if not all(rel.radical_contains(g) for g in product):
-        raise InputError(
-            "the intersection of the declared primes exceeds the radical of the relations"
+    ring, (theta,), (delta,) = graded.user_ring, graded.user_sop, graded.sop_degrees()
+    A = Ideal(ring, graded.user_relations.gens + (theta - ring.one(),))
+    stair = A.staircase()
+    zero = [mono_degree(b, graded.degrees) % delta == 0 for b in stair.monomials]
+    columns = []
+    for b, z in zip(stair.monomials, zero):
+        if not z:
+            continue
+        image = A.coordinates(ring.monomial(b).frobenius(1), stair)
+        if any(c for c, w in zip(image, zero) if not w):
+            raise InconsistencyError("a Frobenius image leaves the degree-zero part of R_theta")
+        columns.append([c for c, w in zip(image, zero) if w])
+    matrix = [list(row) for row in zip(*columns)]
+    components = SemilinearOperator(ring.field, len(columns), matrix, twist=1).stable_part().dim
+    formula = 1 + stable_dim
+    if components != formula:
+        raise InconsistencyError(
+            f"{graded.name}: {components} geometric points of Proj R but 1 + stable_dim = {formula}"
         )
-    components, formula = len(primes), 1 + stable_dim
-    return {
-        "components": components,
-        "formula": formula,
-        "agree": components == formula,
-        "note": "stated over an algebraically closed residue field; the prime "
-        "field model applies because stable dimensions are invariant "
-        "under base change",
-    }
+    return {"components": components, "formula": formula, "agree": True}

@@ -253,16 +253,21 @@ def _text(f, names):
     )
 
 
+def _dict_mul(f, g, p):
+    """f*g over F_p for dicts {exponent tuple: coefficient}."""
+    acc = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = (acc.get(e, 0) + c1 * c2) % p
+    return {e: c for e, c in acc.items() if c}
+
+
 def _dict_power(f, k, p):
     """f^k over F_p for f a dict {exponent tuple: coefficient}."""
     power = {tuple(0 for _ in next(iter(f))): 1}
     for _ in range(k):
-        acc = {}
-        for e1, c1 in power.items():
-            for e2, c2 in f.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                acc[e] = (acc.get(e, 0) + c1 * c2) % p
-        power = {e: c for e, c in acc.items() if c}
+        power = _dict_mul(power, f, p)
     return power
 
 
@@ -350,6 +355,52 @@ def diagonal_verdicts(a, d, p):
             c = c * math.prod(pow(x, y, p) for x, y in zip(a, k)) % p
             power[tuple(d * x for x in k)] = c
     return _fedder(power, p), _hasse_witt_rank(power, n, d, p)
+
+
+# --- binary forms with a known number of points --------------------------------------
+
+
+def binary_form_ring(p, linear, quadratics):
+    """A ring-file dict for F_p[x, y]/(f), and the number of points of
+    V(f) in P^1 over the algebraic closure of F_p.
+
+    f is the product of the linear forms a*x + b*y, given as ((a, b),
+    multiplicity), and of x^2 - n*y^2 for each n in `quadratics`.  The
+    linear forms must be pairwise non-proportional, and the n distinct
+    quadratic non-residues mod p, so that each x^2 - n*y^2 is irreducible
+    over F_p with the two points (+-sqrt(n) : 1) over F_(p^2), and no two
+    factors share a point: the count is the number of linear forms plus 2
+    per quadratic, whatever the multiplicities.  The sop theta is the
+    first of y, x, x + y, ..., x + (p-1)*y proportional to no linear
+    factor; a quadratic has no F_p-point, so V(theta) misses V(f)."""
+
+    def normalized(a, b):
+        a, b = a % p, b % p
+        lead = a or b
+        return a * pow(lead, p - 2, p) % p, b * pow(lead, p - 2, p) % p
+
+    points = {normalized(*ab) for ab, _mult in linear}
+    assert len(points) == len(linear) and (0, 0) not in points
+    residues = {c * c % p for c in range(1, p)}
+    assert len(set(quadratics)) == len(quadratics)
+    assert all(n % p and n % p not in residues for n in quadratics)
+    def form(a, b):
+        return {e: c % p for e, c in (((1, 0), a), ((0, 1), b)) if c % p}
+
+    f = {(0, 0): 1}
+    for (a, b), mult in linear:
+        f = _dict_mul(f, _dict_power(form(a, b), mult, p), p)
+    for n in quadratics:
+        f = _dict_mul(f, {(2, 0): 1, (0, 2): -n % p}, p)
+    theta = next(ab for ab in [(0, 1)] + [(1, c) for c in range(p)] if ab not in points)
+    ring = {
+        "name": f"binary_form_p{p}",
+        "char": p,
+        "vars": ["x", "y"],
+        "relations": [_text(f, ("x", "y"))],
+        "sop": [_text(form(*theta), ("x", "y"))],
+    }
+    return ring, len(points) + 2 * len(quadratics)
 
 
 # --- compatible ideals of the coordinate hyperplanes, by supports alone ---------------

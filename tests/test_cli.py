@@ -107,8 +107,6 @@ AXES = {"char": 2, "vars": ["x", "y", "z"], "relations": ["x*y", "x*z", "y*z"], 
         {"char": 2, "vars": ["a", "b"], "relations": "a", "sop": ["b"]},
         {"char": 2, "vars": ["a"], "relations": [], "sop": "a"},
         {**LINES2, "vars": "ab"},
-        {**LINES2, "minimal_primes": ["a", "b"]},
-        {**AXES, "minimal_primes": [["x", "y"], ["x", "z"], "yz"]},
         {**LINES2, "name": ["x", {"y": 1}]},
         {**LINES2, "name": 0},
     ],
@@ -124,8 +122,6 @@ AXES = {"char": 2, "vars": ["x", "y", "z"], "relations": ["x*y", "x*z", "y*z"], 
         "string-relations",
         "string-sop",
         "string-vars",
-        "string-primes",
-        "string-prime",
         "list-name",
         "zero-name",
     ],
@@ -137,6 +133,24 @@ def test_malformed_ring_schema_exit_2(data, tmp_path, capsys):
     code, _ = run(["stability", "--ring", str(bad)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "ring,primes",
+    [(LINES2, ["a", "b"]), (AXES, [["x", "y"], ["x", "z"], "yz"])],
+    ids=["lines2", "axes"],
+)
+def test_a_minimal_primes_key_is_ignored(ring, primes, tmp_path):
+    # the component count reads nothing from the file but the ring, so a
+    # minimal_primes key, well formed or not, loads and changes no byte
+    rows = []
+    for data in (ring, {**ring, "minimal_primes": primes}):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(data))
+        code, text = run(["stability", "--ring", str(path), "--json"])
+        assert code == 0
+        rows.append(text)
+    assert rows[0] == rows[1]
 
 
 def test_ideal_subcommands():
@@ -351,6 +365,14 @@ def test_frobenius_power_of_a_constant_at_any_e():
     # Fermat fixes every constant, so its bracket power never grows
     bracket = ["ideal", "bracket", "--ring", ring_path("lines2_p2"), "--gens", "1", "--json"]
     code, text = run(bracket + ["--e", "100000"])
+    assert code == 0
+    assert json.loads(text)["result"] == ["1"]
+
+
+def test_frobenius_root_at_any_e():
+    # the root of (a) is (1) after one step, and a repeated step ends the loop
+    froot = ["ideal", "froot", "--ring", ring_path("lines2_p2"), "--gens", "a", "--json"]
+    code, text = run(froot + ["--e", "1000000000000"])
     assert code == 0
     assert json.loads(text)["result"] == ["1"]
 

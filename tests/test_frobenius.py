@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+import frobstab.frobenius as frobenius
 import frobstab.groebner as groebner
 from frobstab.errors import NotSupportedError
 from frobstab.field import PrimeField
@@ -162,6 +163,31 @@ def test_root_of_a_non_basis_generating_set(monkeypatch):
     assert runs == []
     assert got.equals(frobenius_root(basis, 1))
     assert got.equals(ideal(["a", "b"]))
+
+
+@pytest.mark.parametrize(
+    "texts,p,steps,expected",
+    [
+        (["a"], 2, 2, ["1"]),  # (a) -> (1) -> (1)
+        (["a^2 + a*b"], 2, 3, ["1"]),  # (a^2 + a*b) -> (a, 1) -> (1) -> (1)
+        (["a^5*b^2 + b^7"], 2, 4, ["1"]),  # -> (a^2*b, b^3) -> (a, b) -> (1) -> (1)
+        ([], 3, 1, []),  # the zero ideal repeats at once
+    ],
+)
+def test_root_stops_at_its_fixpoint(texts, p, steps, expected, monkeypatch):
+    # e = 10^12 steps would never end; a step that returns the generators
+    # it was given ends the loop
+    calls = []
+    original = frobenius._root_once
+
+    def counted(I):
+        calls.append(I.gens)
+        return original(I)
+
+    monkeypatch.setattr(frobenius, "_root_once", counted)
+    got = frobenius_root(ideal(texts, p=p), 10**12)
+    assert len(calls) == steps
+    assert got.equals(ideal(expected, p=p))
 
 
 def test_root_contains_original_in_quotient():

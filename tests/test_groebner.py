@@ -1,7 +1,6 @@
 # Buchberger engine: reduced bases, normal forms, colon/intersection,
-# radical membership, staircases, socles, caching.
+# staircases, socles, caching.
 
-import glob
 import json
 import os
 import signal
@@ -24,7 +23,6 @@ from frobstab.groebner import (
 )
 from frobstab.localcoh import GradedRing
 from frobstab.poly import GREVLEX, MonomialOrder, PolyRing, elim_order, mono_divides
-from frobstab.stability import connected_components_check
 
 from helpers import (
     MacaulayOracle,
@@ -129,30 +127,6 @@ def _ring_file(path):
         return GradedRing.from_dict(json.load(fh))
 
 
-# one run per declared prime and per distinct sum of two; from three lines
-# on every such sum is m
-COMPONENT_RUNS = {"lines2": 3, "lines3": 4, "lines4": 5, "general_lines12": 78}
-
-
-@pytest.mark.parametrize(
-    "path",
-    sorted(glob.glob(os.path.join(ZOO, "lines*_p*.json")))
-    + [os.path.join(DATA, "general_lines12_p13.json")],
-    ids=os.path.basename,
-)
-def test_component_check_builds_no_pair_queue_and_no_final_reduction(path, monkeypatch):
-    # every basis the check asks for is its interreduced input, the primes
-    # and their sums by coprime leads
-    graded = _ring_file(path)
-    graded.check_cm()
-    work = _count_buchberger_work(monkeypatch)
-    n = len(graded.minimal_primes)
-    assert connected_components_check(graded, n - 1)["components"] == n
-    runs = COMPONENT_RUNS[os.path.basename(path).rsplit("_p", 1)[0]]
-    # one interreduction per run: of the input, none at the end
-    assert work == {"_buchberger": runs, "_interreduce": runs}
-
-
 @pytest.mark.parametrize("name", ["cubic_zxy_p43", "octahedron_p5"])
 def test_zoo_row_builds_no_pair_queue_and_no_final_reduction(name, monkeypatch):
     # from the ring file to the row, the one Buchberger run is K' (in
@@ -196,8 +170,8 @@ def test_interreduce_stops_when_no_lead_moves(monkeypatch):
 
 
 # normal forms inside _interreduce for a verdict from the ring file; a whole
-# further pass after every change took 949, 12 and 6
-INTERREDUCE_NORMAL_FORMS = {"general_lines12_p13": 741, "octahedron_p5": 12, "w16_p17": 6}
+# further pass after every change took 12 and 6 on the last two
+INTERREDUCE_NORMAL_FORMS = {"general_lines12_p13": 46, "octahedron_p5": 12, "w16_p17": 6}
 
 
 @pytest.mark.parametrize("name", sorted(INTERREDUCE_NORMAL_FORMS))
@@ -407,37 +381,6 @@ def test_intersect_contained_in_both_random():
         K = I.intersect(J)
         for g in K.gens:
             assert I.contains(g) and J.contains(g)
-
-
-# --- radical membership ---------------------------------------------------------
-
-
-def test_radical_membership_examples():
-    I = ideal(["a^2"])
-    R = I.ring
-    assert I.radical_contains(R.parse("a"))
-    assert not I.radical_contains(R.parse("b"))
-    J = ideal(["a^2", "b^2"])
-    assert J.radical_contains(R.parse("a + b"))  # (a+b)^2 = a^2+b^2 in char 2
-
-
-def test_radical_member_matches_bounded_powers():
-    rng = seeded(55)
-    R = ring(3, ("x", "y"))
-    for _ in range(25):
-        gens = [g for g in (random_poly(R, rng, 2, 2) for _ in range(2)) if g]
-        f = random_poly(R, rng, 2, 1)
-        if not gens or f.is_zero():
-            continue
-        I = Ideal(R, gens)
-        brute = False
-        fk = R.one()
-        for _k in range(1, 13):
-            fk = fk * f
-            if I.contains(fk):
-                brute = True
-                break
-        assert I.radical_contains(f) == brute
 
 
 # --- staircases -----------------------------------------------------------------

@@ -72,11 +72,11 @@ def test_from_dict_round_trip():
         "vars": ["a", "b"],
         "degrees": [1, 1],
         "relations": ["a*b"],
-        "sop": ["a+b"],
-        "minimal_primes": [["a"], ["b"]],
+        "sop": ["a + b"],
     }
     R = GradedRing.from_dict(data)
-    assert R.dim == 1 and len(R.minimal_primes) == 2
+    assert R.dim == 1
+    assert {k: R.describe()[k] for k in data} == data
 
 
 # --- the CM gate ---------------------------------------------------------------------

@@ -39,6 +39,7 @@ from frobstab.stability import (
 )
 
 from helpers import (
+    binary_form_ring,
     brute_force_socle_candidates,
     colon_cm_oracle,
     coordinate_hyperplanes_closure,
@@ -57,25 +58,15 @@ ZOO = os.path.join(os.path.dirname(__file__), "..", "src", "frobstab", "zoo")
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def make(p, names, degrees, relations, sop, primes=None):
+def make(p, names, degrees, relations, sop):
     F = PrimeField(p)
     R = PolyRing(F, names)
-    prime_ideals = None
-    if primes is not None:
-        prime_ideals = [Ideal(R, [R.parse(t) for t in gens]) for gens in primes]
-    return GradedRing(
-        F,
-        names,
-        degrees,
-        [R.parse(t) for t in relations],
-        [R.parse(t) for t in sop],
-        prime_ideals,
-    )
+    return GradedRing(F, names, degrees, [R.parse(t) for t in relations], [R.parse(t) for t in sop])
 
 
 @pytest.fixture
 def lines2():
-    return make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"], primes=[["a"], ["b"]])
+    return make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"])
 
 
 @pytest.fixture
@@ -86,13 +77,12 @@ def lines3():
         (1, 1, 1),
         ["x*y", "x*z", "y*z"],
         ["x+y+z"],
-        primes=[["x", "y"], ["x", "z"], ["y", "z"]],
     )
 
 
 @pytest.fixture
 def poly1():
-    return make(2, ("a",), (1,), [], ["a"], primes=[[]])
+    return make(2, ("a",), (1,), [], ["a"])
 
 
 @pytest.fixture
@@ -401,19 +391,28 @@ def test_one_buchberger_run_per_ring_and_none_in_the_phases(monkeypatch, key):
 
 @pytest.mark.parametrize("key", COMMITTED)
 def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkeypatch, key):
-    built, walks = [], []
+    built, walks, rings = [], [], []
     ideal, walk = localcoh.Ideal, groebner._standard_monomials
+    staircase = groebner.Ideal.staircase
 
     def counted_ideal(ring, gens=(), reduced=False):
         gens = list(gens)
         built.append((ring, gens))
         return ideal(ring, gens, reduced)
 
+    def counted_staircase(self, weights=None, degree=None):
+        rings.append(self.ring)
+        try:
+            return staircase(self, weights, degree)
+        finally:
+            rings.pop()
+
     def counted_walk(ends, weights, degree):
-        walks.append(degree)
+        walks.append((rings[-1], degree))
         return walk(ends, weights, degree)
 
     monkeypatch.setattr(localcoh, "Ideal", counted_ideal)
+    monkeypatch.setattr(groebner.Ideal, "staircase", counted_staircase)
     monkeypatch.setattr(groebner, "_standard_monomials", counted_walk)
     graded = _gate_ring(key)
     if graded.check_cm()[0] == "verified":
@@ -433,8 +432,12 @@ def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkey
     assert set(Counter(levels).values()) == {1}
     if graded.cm_status == "verified":
         assert {1, graded.p} <= set(levels)
-    # F-injectivity's socle and the a-invariant share one walk of I_1
-    assert walks.count(None) <= 1
+    # F-injectivity's socle and the a-invariant share one walk of I_1; the
+    # component check walks K + (theta - 1), in the user's ring, once
+    assert walks.count((graded.ring, None)) <= 1
+    counted_by_the_check = graded.dim == 1 and graded.cm_status == "verified"
+    assert walks.count((graded.user_ring, None)) == counted_by_the_check
+    assert all(ring in (graded.ring, graded.user_ring) for ring, _degree in walks)
     for t in levels:
         assert graded.truncation_ideal(t) is graded.truncation_ideal(t)
     I_1 = graded.truncation_ideal(1)
@@ -447,7 +450,6 @@ def test_ring_files_parse_in_the_user_ring():
     for key in COMMITTED:
         graded = _gate_ring(key)
         inputs = [*graded.user_relations.gens, *graded.user_sop]
-        inputs += [g for P in graded.minimal_primes or () for g in P.gens]
         assert all(f.ring is graded.user_ring for f in inputs)
 
 
@@ -740,7 +742,6 @@ def test_f_stability_p3_lines3():
         (1, 1, 1),
         ["x*y", "x*z", "y*z"],
         ["x+y+z"],
-        primes=[["x", "y"], ["x", "z"], ["y", "z"]],
     )
     report = f_stability(R)
     assert report.agreement and report.certified_verdict and report.stable_dim == 2
@@ -904,153 +905,150 @@ def test_compatible_closure_needs_a_cm_complete_intersection(key):
 # --- component counts -------------------------------------------------------------------------
 
 
+def _components(graded):
+    out = f_stability(graded).components
+    return out["components"], out["formula"], out["agree"]
+
+
 def test_components_two_lines(lines2):
-    out = f_stability(lines2).components
-    assert (out["components"], out["formula"], out["agree"]) == (2, 2, True)
+    assert _components(lines2) == (2, 2, True)
 
 
 def test_components_three_lines(lines3):
-    out = f_stability(lines3).components
-    assert (out["components"], out["formula"], out["agree"]) == (3, 3, True)
+    assert _components(lines3) == (3, 3, True)
 
 
 def test_components_domain_polynomial_ring():
-    R = make(5, ("a",), (1,), [], ["a"], primes=[[]])
-    out = f_stability(R).components
-    assert (out["components"], out["formula"], out["agree"]) == (1, 1, True)
-
-
-def test_components_validation_errors(lines2, lines3, tmp_path):
-    with pytest.raises(InputError):
-        connected_components_check(make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"]), 0)
-    bad = make(2, ("a", "b"), (1, 1), ["a*b"], ["a+b"], primes=[["a+b"]])
-    with pytest.raises(InputError):
-        connected_components_check(bad, 0)
-    # on F_3[x,y]/(xy): an m-primary ideal beside the two lines, or a
-    # duplicated line, is not a list of the minimal primes
-    for third in (["x", "y"], ["x", "y^2"], ["x"]):
-        bad = make(3, ("x", "y"), (1, 1), ["x*y"], ["x+y"], primes=[["x"], ["y"], third])
-        with pytest.raises(InputError):
-            connected_components_check(bad, 1)
-    # a non-homogeneous prime is refused at load, and the CLI exits 2
-    data = {
-        "char": 3,
-        "vars": ["x", "y"],
-        "relations": ["x*y"],
-        "sop": ["x+y"],
-        "minimal_primes": [["x"], ["y"], ["x+2", "y"]],
-    }
-    with pytest.raises(InputError, match="not homogeneous"):
-        GradedRing.from_dict(data)
-    path = tmp_path / "bad_primes.json"
-    path.write_text(json.dumps(data))
-    assert main(["stability", "--ring", str(path), "--json"], out=io.StringIO()) == 2
+    assert _components(make(5, ("a",), (1,), [], ["a"])) == (1, 1, True)
 
 
 def test_components_of_a_conic_split_only_over_f9():
-    # x^2 + y^2 is prime over F_3 and two lines over F_9: one component
-    # beside stable dimension 1, a disagreement reported, not raised
-    with open(os.path.join(DATA, "conic_p3.json")) as fh:
-        graded = GradedRing.from_dict(json.load(fh))
-    out = f_stability(graded).components
-    assert (out["components"], out["formula"], out["agree"]) == (1, 2, False)
+    # x^2 + y^2 is prime over F_3 and two lines over F_9: two points of
+    # Proj R over the algebraic closure, which the count sees and the
+    # formula 1 + stable_dim agrees with
+    assert _components(_gate_ring("data:conic_p3")) == (2, 2, True)
 
 
-def test_components_of_a_non_prime_declaration_undercount():
-    # (x, yz) is not prime, yet it contains K, is not m-primary, meets (y, z)
-    # only at m, and (x, yz)(y, z) lies in K: nothing checks primality, and
-    # the two declared ideals count fewer components than the three lines
-    with open(os.path.join(ZOO, "lines3_p3.json")) as fh:
-        data = json.load(fh)
-    data["minimal_primes"] = [["x", "y*z"], ["y", "z"]]
-    out = f_stability(GradedRing.from_dict(data)).components
-    assert (out["components"], out["formula"], out["agree"]) == (2, 3, False)
+def test_components_of_a_non_reduced_ring_count_no_nilpotent():
+    # on F_3[x,y]/(x^2 y) the nilpotent xy adds no point: the lines x = 0
+    # and y = 0 are the two components
+    graded = make(3, ("x", "y"), (1, 1), ["x^2*y"], ["x+y"])
+    assert _components(graded) == (2, 2, True)
 
 
-def _count_component_work(monkeypatch):
-    """Record the radical tests, intersections, normal forms and Buchberger
-    runs (memory and disk caches off) that the component check makes."""
-    work = {"radical": [], "intersect": 0, "normal_form": 0, "buchberger": []}
-    radical, intersect = Ideal.radical_contains, Ideal.intersect
-    normal_form, buchberger = Ideal.normal_form, groebner._buchberger
+@pytest.mark.parametrize(
+    "p,names,degrees,relation,sop,points,expected",
+    [
+        # b^2 = a^3 with deg a = 2, theta = a: A = K + (a - 1) has the
+        # standard monomials 1 and b, b of odd degree, so (R_a)_0 is F_p
+        # and the count is the one point of the cusp.  The whole of A has
+        # the points b = +-1, two when p is odd; at p = 2 (cusp_p2) they
+        # are one double point, and Frobenius on A finds one point as well
+        (2, ("a", "b"), (2, 3), "b^2 - a^3", "a", 2, 1),
+        (3, ("a", "b"), (2, 3), "b^2 - a^3", "a", 2, 1),
+        (5, ("a", "b"), (2, 3), "b^2 - a^3", "a", 2, 1),
+        # two lines with the sop a^2 + b^2 of degree 2: A has the four
+        # points (+-1, 0), (0, +-1), and A_0 one per line
+        (3, ("a", "b"), (1, 1), "a*b", "a^2 + b^2", 4, 2),
+        (5, ("a", "b"), (1, 1), "a*b", "a^2 + b^2", 4, 2),
+    ],
+)
+def test_components_keep_the_degree_zero_part_only(
+    p, names, degrees, relation, sop, points, expected
+):
+    graded = make(p, names, degrees, [relation], [sop])
+    ring = graded.user_ring
+    A = Ideal(ring, graded.user_relations.gens + (graded.user_sop[0] - ring.one(),))
+    assert len(A.staircase()) == points
+    assert _components(graded) == (expected, expected, True)
 
-    def counted_radical(self, f):
-        work["radical"].append(f)
-        return radical(self, f)
 
-    def counted_intersect(self, other):
-        work["intersect"] += 1
-        return intersect(self, other)
+BINARY_FORMS = [
+    # (p, linear factors ((a, b), multiplicity) for a*x + b*y, non-residues n
+    # for x^2 - n*y^2), with the expected count
+    (7, [((1, 0), 1), ((0, 1), 1), ((1, 1), 1)], [6], 5),  # xy(x+y)(x^2+y^2)
+    (3, [((1, 0), 2), ((0, 1), 1), ((1, 1), 1)], [], 3),  # x^2 y (x+y)
+    (5, [((1, 0), 1)], [2, 3], 5),
+    (11, [((1, 2), 3), ((1, 7), 1)], [2], 4),
+    (2, [((1, 0), 1), ((0, 1), 2)], [], 2),
+    (3, [], [2], 2),
+]
 
-    def counted_normal_form(self, f):
-        work["normal_form"] += 1
-        return normal_form(self, f)
 
-    def counted_buchberger(ring, gens, *caps):
-        work["buchberger"].append((ring, sorted(map(str, gens))))
-        return buchberger(ring, gens, *caps)
+@pytest.mark.parametrize("p,linear,quadratics,expected", BINARY_FORMS)
+def test_components_match_the_binary_form_oracle(p, linear, quadratics, expected):
+    ring, count = binary_form_ring(p, linear, quadratics)
+    assert count == expected
+    assert _components(GradedRing.from_dict(ring)) == (count, count, True)
 
-    monkeypatch.setattr(Ideal, "radical_contains", counted_radical)
-    monkeypatch.setattr(Ideal, "intersect", counted_intersect)
-    monkeypatch.setattr(Ideal, "normal_form", counted_normal_form)
-    monkeypatch.setattr(groebner, "_buchberger", counted_buchberger)
-    monkeypatch.setattr(groebner, "_cache_dir", None)
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_components_match_the_binary_form_oracle_on_random_forms(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    points = [(1, c) for c in range(p)] + [(0, 1)]
+    # one F_p-point is left off f for theta
+    chosen = data.draw(st.lists(st.sampled_from(points), max_size=min(p, 3), unique=True))
+    linear = [(ab, data.draw(st.integers(1, 2))) for ab in chosen]
+    residues = {c * c % p for c in range(1, p)}
+    non_residues = [n for n in range(1, p) if n not in residues]
+    quadratics = []
+    if non_residues:
+        quadratics = data.draw(st.lists(st.sampled_from(non_residues), max_size=2, unique=True))
+    if not linear and not quadratics:
+        linear = [((1, 0), 1)]
+    ring, count = binary_form_ring(p, linear, quadratics)
+    assert _components(GradedRing.from_dict(ring)) == (count, count, True)
+
+
+def _count_buchberger_runs(monkeypatch):
+    runs = []
+    original = groebner._buchberger
+
+    def counted(ring, gens, *caps):
+        runs.append(ring)
+        return original(ring, gens, *caps)
+
+    monkeypatch.setattr(groebner, "_buchberger", counted)
     groebner.clear_memory_cache()
-    return work
+    return runs
 
 
-@pytest.mark.parametrize("name", [n for n in ZOO_NAMES if n.startswith("lines")])
-def test_components_of_lines_run_no_radical_test(name, monkeypatch):
-    # the lines' primes multiply into K', so every normal form of the
-    # product is zero; no intersection is formed and K gets no basis of
-    # its own in the user's ring
-    graded = _zoo_ring(name)
+def _one_dimensional(key):
+    kind, name = key.split(":")
+    with open(os.path.join(ZOO if kind == "zoo" else DATA, name + ".json")) as fh:
+        return len(json.load(fh)["sop"]) == 1
+
+
+@pytest.mark.parametrize("key", [k for k in COMMITTED if _one_dimensional(k)])
+def test_components_equal_one_plus_stable_dim_with_one_buchberger_run(key, monkeypatch):
+    # every committed one-dimensional ring; the check's one basis is that
+    # of K + (theta - 1), in the user's ring
+    graded = _gate_ring(key)
     graded.check_cm()
-    work = _count_component_work(monkeypatch)
-    n = len(graded.minimal_primes)
-    assert connected_components_check(graded, n - 1)["components"] == n
-    assert work["radical"] == []
-    assert work["intersect"] == 0
-    user_relations = sorted(map(str, graded.user_relations.gens))
-    assert (graded.user_ring, user_relations) not in work["buchberger"]
+    stable_dim = is_f_stable_certified(graded)[1]
+    runs = _count_buchberger_runs(monkeypatch)
+    out = connected_components_check(graded, stable_dim)
+    assert out == {"components": 1 + stable_dim, "formula": 1 + stable_dim, "agree": True}
+    assert runs == [graded.user_ring]
 
 
-def test_components_of_a_non_reduced_ring_take_the_radical_test(monkeypatch):
-    # on F_3[x,y]/(x^2 y): xy is not in K but is in rad K = (xy)
-    graded = make(3, ("x", "y"), (1, 1), ["x^2*y"], ["x+y"], primes=[["x"], ["y"]])
-    work = _count_component_work(monkeypatch)
-    assert connected_components_check(graded, 1)["components"] == 2
-    assert len(work["radical"]) == 1
+def test_components_disagreement_raises(lines2):
+    lines2.check_cm()
+    with pytest.raises(InconsistencyError, match="geometric points"):
+        connected_components_check(lines2, 0)
 
 
-def test_components_missing_prime_exceeds_the_radical():
-    # (x) alone on F_3[x,y]/(x^2 y), and two of the three lines of lines3_p3
-    one_line = make(3, ("x", "y"), (1, 1), ["x^2*y"], ["x+y"], primes=[["x"]])
-    with open(os.path.join(ZOO, "lines3_p3.json")) as fh:
-        data = json.load(fh)
-    data["minimal_primes"] = data["minimal_primes"][:2]
-    for graded in (one_line, GradedRing.from_dict(data)):
-        with pytest.raises(InputError, match="exceeds the radical"):
-            connected_components_check(graded, 0)
-
-
-def test_components_of_twelve_general_lines_keep_a_basis_per_product(monkeypatch):
-    # 12 general lines through the origin of A^4 over F_13 (R has Hilbert
-    # function 1, 4, 10, 12, 12, ...).  The k-th partial product is kept as
-    # a basis of its piece of R_k, at most 12 - k wide from k = 3 on, so the
-    # product takes 171 normal forms beside the validation's 12 * 11; without
-    # the basis step its lists grow threefold with each prime
-    with open(os.path.join(DATA, "general_lines12_p13.json")) as fh:
-        graded = GradedRing.from_dict(json.load(fh))
-    graded.check_cm()
-    work = _count_component_work(monkeypatch)
-    assert connected_components_check(graded, 11)["components"] == 12
-    assert work["normal_form"] <= 12 * 3 * 12
-    assert work["intersect"] == 0
+def test_components_validation_errors():
+    # F_3[x,y]/(x^2, xy): the line x = 0 with an embedded point, so y is a
+    # zero-divisor and the CM gate fails
+    graded = make(3, ("x", "y"), (1, 1), ["x^2", "x*y"], ["y"])
+    with pytest.raises(NotSupportedError, match="component check"):
+        connected_components_check(graded, 0)
 
 
 def test_components_rejects_higher_dimension():
-    R = make(2, ("a", "b"), (1, 1), [], ["a", "b"], primes=[[]])
+    R = make(2, ("a", "b"), (1, 1), [], ["a", "b"])
     with pytest.raises(InputError):
         connected_components_check(R, 0)
 
