@@ -139,8 +139,9 @@ class SemilinearOperator:
         return Subspace.from_vectors(self.field, self.n, [self.apply(r) for r in W.rows])
 
     def stable_part(self):
-        """Limit of the descending chain of iterated image spans."""
-        return _fixpoint(self.image_span, self.image_span(self.full_space()))
+        """Limit of the descending chain of iterated image spans, from the
+        whole space: an invertible operator stops at the first image."""
+        return _fixpoint(self.image_span, self.full_space())
 
     def kernel_space(self):
         """ker(v -> A v^(q)), the preimage of zero."""

@@ -44,7 +44,10 @@ components of the punctured spectrum, the points of Proj R over the
 algebraic closure, with 1 + stable_dim.  It counts them from the ring
 alone, as the stable dimension of Frobenius on (R_theta)_0, theta the
 sop: a third exact route, on its own carrier, whose disagreement with
-the certified one raises.
+the certified one raises.  It runs no Buchberger computation: on the
+verified gate the basis G of K' at T = 1 is a Groebner basis of
+K + (theta - 1), by dehomogenization, so the carrier is read off I_1's
+staircase and its Frobenius images are normal forms modulo K' at T = 1.
 """
 
 import itertools
@@ -402,36 +405,46 @@ def connected_components_check(graded, stable_dim):
     In dimension one the components are the points of Proj R over the
     algebraic closure.  With theta the sop, of degree delta, Proj R is
     Spec (R_theta)_0, and (R_theta)_0 is A_0, the part of A = R/(theta - 1)
-    of degree 0 mod delta: K + (theta - 1) is homogeneous for the Z/delta
-    grading, so its reduced basis is, and the standard monomials of degree
-    0 mod delta span A_0.  Over the algebraic closure A_0 is one local
+    of degree 0 mod delta.  Over the algebraic closure A_0 is one local
     Artinian ring per point, on whose maximal ideal Frobenius is
     nilpotent, and stable parts do not change under base change
     (Hartshorne-Speiser), so the stable part of Frobenius on A_0 has one
     dimension per point.  The Cech sequence 0 -> R_0 -> (R_theta)_0 ->
     [H^1_m(R)]_0 -> 0 is Frobenius-equivariant and stable parts are exact,
     so on a CM ring the count is 1 + stable_dim: a third route, on its own
-    carrier and its own Groebner basis, and any disagreement raises
-    InconsistencyError.  Nothing is read from the ring file but the ring.
+    carrier, and any disagreement raises InconsistencyError.  Nothing is
+    read from the ring file but the ring.
+
+    A needs no basis of its own.  K + (theta - 1) is K' + (T - 1) with T
+    set to 1, K' is homogeneous with deg T = delta, and on the verified
+    gate no lead of G, the reduced basis of K', involves T; the T-terms of
+    each g lose degree under T -> 1, so none overtakes its lead in the
+    weighted grevlex order on the user's variables, and G at T = 1 is a
+    Groebner basis of K + (theta - 1) (dehomogenization).  Its standard
+    monomials are those of I_1, whose staircase is walked once per ring,
+    and the normal form of b^p modulo A is that modulo K' at T = 1.  K' +
+    (T - 1) is homogeneous for the Z/delta grading, so the standard
+    monomials of degree 0 mod delta span A_0.
     """
     if graded.dim != 1:
         raise InputError("the component count formula is stated for dimension one")
     graded.check_cm()
     graded.require_cm("the component check")
-    ring, (theta,), (delta,) = graded.user_ring, graded.user_sop, graded.sop_degrees()
-    A = Ideal(ring, graded.user_relations.gens + (theta - ring.one(),))
-    stair = A.staircase()
-    zero = [mono_degree(b, graded.degrees) % delta == 0 for b in stair.monomials]
-    columns = []
-    for b, z in zip(stair.monomials, zero):
-        if not z:
-            continue
-        image = A.coordinates(ring.monomial(b).frobenius(1), stair)
-        if any(c for c, w in zip(image, zero) if not w):
-            raise InconsistencyError("a Frobenius image leaves the degree-zero part of R_theta")
-        columns.append([c for c, w in zip(image, zero) if w])
-    matrix = [list(row) for row in zip(*columns)]
-    components = SemilinearOperator(ring.field, len(columns), matrix, twist=1).stable_part().dim
+    ring, field, n = graded.ring, graded.ring.field, graded.user_ring.nvars
+    (delta,) = graded.sop_degrees()
+    stair = graded.truncation_ideal(1).staircase().monomials
+    basis = [b for b in stair if mono_degree(b, graded.weights) % delta == 0]
+    # the staircase of I_1 holds no T, so x-parts index the basis
+    position = {b[:n]: i for i, b in enumerate(basis)}
+    m = len(basis)
+    matrix = [[field.zero] * m for _ in range(m)]
+    for j, b in enumerate(basis):
+        for c, e in graded.relations.normal_form(ring.monomial(b).frobenius(1)).terms:
+            i = position.get(e[:n])
+            if i is None:
+                raise InconsistencyError("a Frobenius image leaves the degree-zero part of R_theta")
+            matrix[i][j] = field.add(matrix[i][j], c)
+    components = SemilinearOperator(field, m, matrix, twist=1).stable_part().dim
     formula = 1 + stable_dim
     if components != formula:
         raise InconsistencyError(

@@ -420,6 +420,11 @@ def coordinate_hyperplanes_closure(monomials, n):
 
 
 def _rank_mod_p(rows, p):
+    return len(_rref_mod_p(rows, p))
+
+
+def _rref_mod_p(rows, p):
+    """The nonzero rows of the reduced row echelon form over F_p."""
     rows = [list(row) for row in rows]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
@@ -434,7 +439,24 @@ def _rank_mod_p(rows, p):
                 c = rows[i][col]
                 rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return [tuple(row) for row in rows[:rank]]
+
+
+# --- stable parts over a prime field ------------------------------------------------
+
+
+def linear_stable_part(matrix, p):
+    """The stable part of v -> A v^p on F_p^n, as RREF rows: c^p = c on F_p,
+    so the map is linear, and by Fitting's lemma its stable part is the
+    image of A^n, the column span of A^n.  Plain integer arithmetic."""
+    n = len(matrix)
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(n):
+        power = [
+            [sum(power[i][k] * matrix[k][j] for k in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+    return _rref_mod_p([list(col) for col in zip(*power)], p)
 
 
 def small_ring(p=2, names=("a", "b")):

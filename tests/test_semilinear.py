@@ -1,11 +1,12 @@
 # Semilinear operators: stable/nil decomposition, socle chains, base change.
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobstab.field import ExtField, PrimeField
 from frobstab.semilinear import SemilinearOperator, Subspace
 
-from helpers import seeded
+from helpers import linear_stable_part, seeded
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -130,6 +131,28 @@ def test_stable_part_is_phi_invariant_and_injective_on_it():
         S = A.stable_part()
         assert A.image_span(S).rows == S.rows
         assert A.kernel_space().intersect(S).is_zero()
+
+
+def test_stable_part_of_an_invertible_operator_takes_one_image_span(monkeypatch):
+    A = op(F3, [[2, 1, 0], [1, 1, 0], [0, 1, 1]])
+    calls = []
+    image_span = SemilinearOperator.image_span
+
+    def counted(self, W):
+        calls.append(W.dim)
+        return image_span(self, W)
+
+    monkeypatch.setattr(SemilinearOperator, "image_span", counted)
+    assert A.stable_part().rows == A.full_space().rows
+    assert calls == [3]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 4), st.data())
+def test_stable_part_is_the_column_span_of_the_nth_power(p, n, data):
+    entries = st.lists(st.integers(0, p - 1), min_size=n, max_size=n)
+    matrix = data.draw(st.lists(entries, min_size=n, max_size=n))
+    assert op(PrimeField(p), matrix).stable_part().rows == tuple(linear_stable_part(matrix, p))
 
 
 # --- socle chains ---------------------------------------------------------------------

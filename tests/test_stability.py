@@ -23,7 +23,8 @@ from frobstab.frobenius import bracket_power, is_frobenius_closed
 from frobstab.groebner import Ideal
 from frobstab.linalg import kernel, rows_from_columns
 from frobstab.localcoh import CohomologyClass, GradedRing
-from frobstab.poly import PolyRing
+from frobstab.poly import PolyRing, mono_degree
+from frobstab.semilinear import SemilinearOperator
 from frobstab.stability import (
     CHAIN_NOT_STABILIZED,
     CHAIN_STABILIZED,
@@ -432,12 +433,10 @@ def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkey
     assert set(Counter(levels).values()) == {1}
     if graded.cm_status == "verified":
         assert {1, graded.p} <= set(levels)
-    # F-injectivity's socle and the a-invariant share one walk of I_1; the
-    # component check walks K + (theta - 1), in the user's ring, once
+    # F-injectivity's socle, the a-invariant and the component check share
+    # one walk of I_1, and nothing walks a staircase in the user's ring
     assert walks.count((graded.ring, None)) <= 1
-    counted_by_the_check = graded.dim == 1 and graded.cm_status == "verified"
-    assert walks.count((graded.user_ring, None)) == counted_by_the_check
-    assert all(ring in (graded.ring, graded.user_ring) for ring, _degree in walks)
+    assert all(ring is graded.ring for ring, _degree in walks)
     for t in levels:
         assert graded.truncation_ideal(t) is graded.truncation_ideal(t)
     I_1 = graded.truncation_ideal(1)
@@ -910,6 +909,27 @@ def _components(graded):
     return out["components"], out["formula"], out["agree"]
 
 
+def _check_against_a_second_basis(graded, count):
+    """A = K + (theta - 1) from its own reduced basis in the user's ring:
+    its standard monomials of degree 0 mod delta are as many as I_1's, and
+    Frobenius on their span, by the coordinates of their p-th powers, has
+    stable dimension `count`."""
+    ring, (theta,), (delta,) = graded.user_ring, graded.user_sop, graded.sop_degrees()
+    A = Ideal(ring, graded.user_relations.gens + (theta - ring.one(),))
+    stair = A.staircase()
+    zero = [mono_degree(b, graded.degrees) % delta == 0 for b in stair.monomials]
+    columns = []
+    for b, z in zip(stair.monomials, zero):
+        if z:
+            image = A.coordinates(ring.monomial(b).frobenius(1), stair)
+            assert not any(c for c, w in zip(image, zero) if not w)
+            columns.append([c for c, w in zip(image, zero) if w])
+    stair_1 = graded.truncation_ideal(1).staircase().monomials
+    assert len(columns) == sum(1 for b in stair_1 if mono_degree(b, graded.weights) % delta == 0)
+    matrix = [list(row) for row in zip(*columns)]
+    assert SemilinearOperator(ring.field, len(columns), matrix).stable_part().dim == count
+
+
 def test_components_two_lines(lines2):
     assert _components(lines2) == (2, 2, True)
 
@@ -961,6 +981,7 @@ def test_components_keep_the_degree_zero_part_only(
     A = Ideal(ring, graded.user_relations.gens + (graded.user_sop[0] - ring.one(),))
     assert len(A.staircase()) == points
     assert _components(graded) == (expected, expected, True)
+    _check_against_a_second_basis(graded, expected)
 
 
 BINARY_FORMS = [
@@ -979,7 +1000,9 @@ BINARY_FORMS = [
 def test_components_match_the_binary_form_oracle(p, linear, quadratics, expected):
     ring, count = binary_form_ring(p, linear, quadratics)
     assert count == expected
-    assert _components(GradedRing.from_dict(ring)) == (count, count, True)
+    graded = GradedRing.from_dict(ring)
+    assert _components(graded) == (count, count, True)
+    _check_against_a_second_basis(graded, count)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1021,16 +1044,17 @@ def _one_dimensional(key):
 
 
 @pytest.mark.parametrize("key", [k for k in COMMITTED if _one_dimensional(k)])
-def test_components_equal_one_plus_stable_dim_with_one_buchberger_run(key, monkeypatch):
-    # every committed one-dimensional ring; the check's one basis is that
-    # of K + (theta - 1), in the user's ring
+def test_components_equal_one_plus_stable_dim_with_no_buchberger_run(key, monkeypatch):
+    # every committed one-dimensional ring; the check reads K''s basis at
+    # T = 1, which the CM gate has already computed
     graded = _gate_ring(key)
     graded.check_cm()
     stable_dim = is_f_stable_certified(graded)[1]
     runs = _count_buchberger_runs(monkeypatch)
     out = connected_components_check(graded, stable_dim)
     assert out == {"components": 1 + stable_dim, "formula": 1 + stable_dim, "agree": True}
-    assert runs == [graded.user_ring]
+    assert runs == []
+    _check_against_a_second_basis(graded, out["components"])
 
 
 def test_components_disagreement_raises(lines2):
