@@ -7,8 +7,15 @@ the integer tuple wm @ e, compared lexicographically.  The rows of wm are
 chosen by the order module so that keys are injective and additive
 (key(a*b) = key(a) + key(b)), which is what lets products stay sorted.
 
-The compiled kernel in ``_speedups`` implements the same three functions
-with identical semantics; parity is enforced by tests.
+The compiled kernel, built from the hand-written C file ``_speedups.c``,
+implements the same three functions with identical results; parity is
+enforced by tests.  It holds coefficients, exponents and keys in 64-bit
+integers, so unlike this module it rejects malformed input: ValueError for
+a term that is not a pair, an exponent tuple whose length is not the width
+of wm, or p outside [2, 2^31); TypeError for a non-integer coefficient or
+exponent; OverflowError for a value, key or product exponent past 64 bits;
+ZeroDivisionError for a divisor with no terms or with a leading
+coefficient divisible by p.
 """
 
 

@@ -364,6 +364,8 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
+        # F_p[vars] is a domain: the top degree of a product is the sum of its factors'
+        _check_degree(self.weighted_degree() + other.weighted_degree())
         r = self.ring
         return Polynomial(r, _kernel.mul_terms(self.terms, other.terms, r.p, r._wm))
 
@@ -377,8 +379,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def exact_quotient(self, divisor):
@@ -518,9 +521,7 @@ class _Parser:
         result = self.factor()
         while self.peek()[0] == "*":
             self.take()
-            factor = self.factor()
-            _check_degree(result.weighted_degree() + factor.weighted_degree())
-            result = result * factor
+            result = result * self.factor()
         return result
 
     def factor(self):

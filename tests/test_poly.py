@@ -262,21 +262,33 @@ def test_order_is_a_well_order_one_divides_everything():
 # --- the 2^62 degree bound of the term kernels ----------------------------------
 
 
+DEGREE_2_62_CASES = {
+    "monomial": lambda R: R.monomial((DEGREE_LIMIT, 0)),
+    "monomial-split": lambda R: R.monomial((DEGREE_LIMIT // 2, DEGREE_LIMIT // 2)),
+    "from-dict": lambda R: R.from_dict({(1, 0): 1, (DEGREE_LIMIT - 1, 1): 1}),
+    "frobenius": lambda R: R.var("a").frobenius(62),
+    "power": lambda R: (R.var("a") + R.var("b")) ** DEGREE_LIMIT,
+    "parse-power": lambda R: R.parse("a^4611686018427387904"),
+    "parse-product": lambda R: R.parse("a^4611686018427387903*b"),
+    "product": lambda R: R.monomial((DEGREE_LIMIT // 2, 0)) * R.monomial((DEGREE_LIMIT // 2, 0)),
+}
+
+
+# each case runs on the compiled kernel under its own name and on the
+# reference kernel as "<name>-python"
 @pytest.mark.parametrize(
-    "make",
+    "impl, make",
     [
-        lambda R: R.monomial((DEGREE_LIMIT, 0)),
-        lambda R: R.monomial((DEGREE_LIMIT // 2, DEGREE_LIMIT // 2)),
-        lambda R: R.from_dict({(1, 0): 1, (DEGREE_LIMIT - 1, 1): 1}),
-        lambda R: R.var("a").frobenius(62),
-        lambda R: (R.var("a") + R.var("b")) ** DEGREE_LIMIT,
-        lambda R: R.parse("a^4611686018427387904"),
-        lambda R: R.parse("a^4611686018427387903*b"),
+        pytest.param(impl, make, id=name if impl == "c" else f"{name}-python")
+        for name, make in DEGREE_2_62_CASES.items()
+        for impl in ("c", "python")
     ],
-    ids=["monomial", "monomial-split", "from-dict", "frobenius", "power", "parse-power",
-         "parse-product"],
 )
-def test_terms_of_weighted_degree_2_62_raise_on_any_kernel(make):
+def test_terms_of_weighted_degree_2_62_raise_on_any_kernel(monkeypatch, impl, make):
+    if impl == "c":
+        fast = pytest.importorskip("frobstab._kernel._speedups")
+    for name in ("add_terms", "mul_terms", "divmod_terms"):
+        monkeypatch.setattr(kernel, name, getattr(_ref if impl == "python" else fast, name))
     with pytest.raises(ResourceLimitError, match="2\\^62"):
         make(ring(p=2))
 
