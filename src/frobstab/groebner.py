@@ -35,11 +35,11 @@ an entry and nothing is printed or hashed.  The on-disk cache that
 `set_cache_dir` turns on names its files by a SHA-256 of the printed
 generators (`_cache_key`), which is computed only while it is on.
 
-Staircases (the standard monomials, whole or in one weighted degree) are
-grown from the order ideal by a depth-first walk over exponent prefixes
-that stops at the first prefix a lead divides, so their cost is about
-nvars times the number of standard prefixes, never the number of
-monomials of the degree; they need no cap.
+Staircases (the standard monomials of an Artinian quotient) are grown
+from the order ideal by a depth-first walk over exponent prefixes that
+stops at the first prefix a lead divides, so their cost is about nvars
+times the number of standard prefixes, never the size of the box under
+the pure powers; they need no cap.
 """
 
 import hashlib
@@ -57,6 +57,7 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 DEFAULT_PAIR_CAP = 100_000
@@ -447,43 +448,32 @@ class Ideal:
                 return False
         return True
 
-    def staircase(self, weights=None, degree=None):
-        """Standard monomials of the quotient, ascending in the order.
+    def staircase(self):
+        """Standard monomials of an Artinian quotient, ascending in the order.
 
-        With degree=None, the whole staircase of an Artinian quotient;
-        otherwise the standard monomials of weighted degree `degree`
-        (weights positive, default 1), which is finite for any quotient.
         They are grown by a depth-first walk over exponent prefixes (see
         `_standard_monomials`), so the work is about nvars times the number
-        of standard prefixes, not the number of monomials of the degree.
-        The whole staircase is walked once per ideal and kept; the
-        staircases of one degree are not kept.
+        of standard prefixes, not the size of the box under the pure
+        powers.  The staircase is walked once per ideal and kept.
         """
-        if degree is None and self._stair is not None:
+        if self._stair is not None:
             return self._stair
         lts = self.leading_monomials()
         if lts and not any(lts[0]):
             return StaircaseBasis(self.ring, ())  # unit ideal
         n = self.ring.nvars
         ends = _leads_by_end(lts, n)
-        if degree is None:
-            for i in range(n):
-                # a pure power of x_i is a lead ending at x_i with nothing before
-                if not any(not any(head) for heads in ends[i].values() for head in heads):
-                    raise NotSupportedError(
-                        "quotient not finite-dimensional: no pure power of "
-                        f"{self.ring.names[i]} in the leading-term ideal"
-                    )
-        else:
-            weights = (1,) * n if weights is None else tuple(weights)
-            if any(w < 1 for w in weights):
-                raise InputError("staircase weights must be positive")
-        out = _standard_monomials(ends, weights, degree)
+        for i in range(n):
+            # a pure power of x_i is a lead ending at x_i with nothing before
+            if not any(not any(head) for heads in ends[i].values() for head in heads):
+                raise NotSupportedError(
+                    "quotient not finite-dimensional: no pure power of "
+                    f"{self.ring.names[i]} in the leading-term ideal"
+                )
+        out = _standard_monomials(ends)
         out.sort(key=self.ring.key)
-        stair = StaircaseBasis(self.ring, tuple(out))
-        if degree is None:
-            self._stair = stair
-        return stair
+        self._stair = StaircaseBasis(self.ring, tuple(out))
+        return self._stair
 
     def coordinates(self, f, stair):
         """Coordinates of f's class in the staircase basis.
@@ -511,53 +501,41 @@ def _leads_by_end(lts, n):
     return ends
 
 
-def _standard_monomials(ends, weights, degree):
-    """Monomials no lead divides, unsorted: all of them when degree is None
-    (the caller has checked that a pure power of each variable is a lead),
-    else those of weighted degree `degree`.
+def _standard_monomials(ends):
+    """Monomials no lead divides, unsorted; the caller has checked that a
+    pure power of each variable is a lead.
 
     A depth-first walk sets x_0, x_1, ... in turn and raises each exponent
     from 0 until a lead divides the prefix; standard monomials are closed
     under division, so nothing above that prefix is standard.  Setting x_i
     to e tests only the leads that end at x_i with exponent e: every other
     lead was tested on a shorter prefix or cannot divide a monomial that is
-    zero after x_i.  In the graded case the weight left fixes the last
-    exponent.  The work is about n times the number of standard prefixes.
+    zero after x_i.  The work is about n times the number of standard
+    prefixes.
     """
     n = len(ends)
-    graded = degree is not None
-    if graded and degree < 0:
-        return []
-    if n == 0:
-        return [()] if not degree else []
     out = []
     prefix = [0] * n
 
     def divides(heads):
         return any(all(a <= b for a, b in zip(head, prefix)) for head in heads)
 
-    def walk(i, remaining):
+    def walk(i):
         leads = ends[i]
-        if graded and i == n - 1:
-            e, rest = divmod(remaining, weights[i])
-            if not rest and not any(f <= e and divides(heads) for f, heads in leads.items()):
-                out.append(tuple(prefix[:i]) + (e,))
-            return
-        step = weights[i] if graded else 0
         e = 0
-        while not graded or e * step <= remaining:
+        while True:
             heads = leads.get(e)
             if heads and divides(heads):
                 break
             prefix[i] = e
             if i + 1 < n:
-                walk(i + 1, remaining - e * step)
+                walk(i + 1)
             else:
                 out.append(tuple(prefix))
             e += 1
         prefix[i] = 0
 
-    walk(0, degree or 0)
+    walk(0)
     return out
 
 
@@ -571,40 +549,41 @@ def _extended_ring(ring):
 
 
 def socle_basis(ideal, maximal_ideal_gens=None):
-    """Representatives of a basis of (I : m)/I for an Artinian quotient.
+    """Representatives of a basis of (I : m)/I for an Artinian quotient,
+    m generated by single terms (by default the variables).
 
-    The socle is the kernel of multiplication by the maximal ideal in
-    staircase coordinates.  Each staircase monomial m gives one sparse
-    column, keyed by (generator, standard monomial): a product x_j*m that
-    is standard is its own coordinate, and only the others are reduced
-    to normal form.  Rows that no column touches are never built, and the
-    kernel comes from a canonical RREF; representatives come back in
-    normal form, canonically ordered.
+    The socle is the kernel of multiplication by m's generators in
+    staircase coordinates: each staircase monomial s gives one sparse
+    column, keyed by (generator, standard monomial).  A product x*s that
+    is standard is its own coordinate, and each other one, a border
+    monomial, is reduced once.  Rows that no column touches are never
+    built, and the kernel comes from a canonical RREF; representatives
+    come back in normal form, canonically ordered.
     """
     from .linalg import kernel, rows_from_columns
 
-    ring = ideal.ring
-    if maximal_ideal_gens is None:
-        maximal_ideal_gens = ring.gens()
+    ring, field = ideal.ring, ideal.ring.field
+    gens = ring.gens() if maximal_ideal_gens is None else maximal_ideal_gens
+    if any(len(v.terms) != 1 for v in gens):
+        raise InputError("socle_basis takes single-term generators of the maximal ideal")
+    # a unit scalar on a generator does not change the ideal
+    leads = [v.lm() for v in gens]
     stair = ideal.staircase()  # raises NotSupportedError unless Artinian
-    if not stair.monomials:
-        return []
-    idx = stair.index
+    idx, gb_terms, border = stair.index, [g.terms for g in ideal.groebner_basis()], {}
     columns = []
-    for m in stair.monomials:
+    for s in stair.monomials:
         col = {}
-        for j, v in enumerate(maximal_ideal_gens):
-            product = v * ring.monomial(m)
-            if len(product.terms) == 1 and product.lm() in idx:
-                col[j, product.lm()] = product.lc()
+        for j, x in enumerate(leads):
+            e = mono_mul(x, s)
+            if e in idx:
+                col[j, e] = 1
                 continue
-            for c, e in ideal.normal_form(product).terms:
-                col[j, e] = c
+            if e not in border:
+                border[e] = _normal_form_terms(((1, e),), gb_terms, ring)
+            for c, f in border[e]:
+                col[j, f] = c
         columns.append(col)
-    rows = rows_from_columns(columns, ring.field)
-    basis = kernel(rows, ring.field, ncols=len(columns))
-    out = []
-    for vec in basis:
-        terms = {m: c for m, c in zip(stair.monomials, vec) if c}
-        out.append(ring.from_dict(terms))
-    return out
+    basis = kernel(rows_from_columns(columns, field), field, ncols=len(columns))
+    # the staircase ascends and a representative's terms descend
+    terms = [reversed(list(zip(stair.monomials, vec))) for vec in basis]
+    return [Polynomial(ring, tuple((c, m) for m, c in t if c)) for t in terms]

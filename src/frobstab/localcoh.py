@@ -8,9 +8,10 @@ sop T_1..T_d.  Classes of the top module are written [z + I_t], I_t = K'
 + (T_1^t..T_d^t), and move up the direct system by multiplication with
 T_1*...*T_d; the Frobenius action sends a level-t class to [z^p] at
 level p*t.  By Bayer and Stillman (1987) one reduced Groebner basis G
-of K' serves every I_t; each I_t is built once per ring, and the whole
-staircase of each is walked once, so the F-injectivity socle, the
-a-invariant and the socle route share one walk of I_1's staircase.
+of K' serves every I_t, each built once per ring.  On the verified gate
+R/I_t is R/I_1 tensored with F_p[T]/(T_1^t..T_d^t), so a verdict walks
+one staircase, I_1's, and reads the degree-zero carrier and its
+Frobenius lift off it as every other phase does.
 
 Everything certified runs through two gates: the CM check (the sop is a
 verified regular sequence, which makes the transition maps injective and
@@ -23,11 +24,12 @@ is all the semilinear machinery ever sees.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 
 from .errors import InconsistencyError, InputError, NotSupportedError
 from .field import PrimeField
-from .groebner import Ideal, socle_basis
+from .groebner import Ideal, StaircaseBasis, socle_basis
 from .poly import GREVLEX, MonomialOrder, Polynomial, PolyRing, mono_degree, mono_mul
 from .semilinear import SemilinearOperator
 
@@ -202,7 +204,7 @@ class GradedRing:
 
     def _build_truncation(self, t):
         G = self.relations.groebner_basis()
-        powers = [T**t for T in self.sop]
+        powers = [self.ring.monomial(tuple(t * x for x in T.lm())) for T in self.sop]
         n = self.user_ring.nvars
         if any(any(g.lm()[n:]) for g in G):
             return Ideal(self.ring, list(G) + powers)
@@ -250,37 +252,50 @@ class GradedRing:
         # default=0: a unit relation leaves no standard monomial and T = 1
         a = max((mono_degree(mono, self.weights) for mono in stair), default=0) - degsum
         level = max(1, 1 + a // min(self.sop_degrees()))
-        I_T = self.truncation_ideal(level)
-        basis = I_T.staircase(weights=self.weights, degree=level * degsum).monomials
-        return DegreeZeroPiece(self, level, basis)
+        return DegreeZeroPiece(self, level, self._degree_zero_basis(level))
+
+    def _degree_zero_basis(self, t):
+        """The standard monomials of I_t of degree t * sum deg(T_i), ascending.
+
+        On the verified gate the leads of I_t are G's, free of the T_i, and
+        the T_i^t, so these are the s * T^c with s standard for I_1, every
+        c_i < t and deg s + sum c_i deg(T_i) = t * sum deg(T_i).
+        """
+        n, (*degs, last) = self.user_ring.nvars, self.sop_degrees()
+        out = []
+        for s in self.truncation_ideal(1).staircase().monomials:
+            left = t * self.degree_sum() - mono_degree(s, self.weights)
+            for c in product(range(t), repeat=len(degs)):
+                c_last, rest = divmod(left - mono_degree(c, degs), last)
+                if not rest and 0 <= c_last < t:
+                    out.append(s[:n] + c + (c_last,))
+        out.sort(key=self.ring.key)
+        return tuple(out)
 
     def frobenius_matrix(self, piece):
         """Matrix of the Frobenius action on the degree-zero carrier.
 
         Column j holds the coordinates of F(basis_j), a level p*t class,
         in the level p*t basis obtained by lifting the carrier basis by
-        T^((p-1)t), an injection of standard monomials (G's leads hold no
-        T) and so a bijection once the counts agree.  A dimension failure
-        aborts: it means the carrier was taken below its stable level,
-        never that an approximation is acceptable.
+        T^((p-1)t), an order-preserving injection of standard monomials
+        (G's leads hold no T) and so a bijection once the counts agree.  A
+        dimension failure aborts: it means the carrier was taken below its
+        stable level, never that an approximation is acceptable.
         """
-        m = len(piece.basis)
-        fp, t, pt = self.ring.field, piece.level, self.p * piece.level
-        I_pt = self.truncation_ideal(pt)
-        stair_pt = I_pt.staircase(weights=self.weights, degree=pt * self.degree_sum())
-        if len(stair_pt) != m:
+        m, p, t = len(piece.basis), self.p, piece.level
+        if len(self._degree_zero_basis(p * t)) != m:
             raise InconsistencyError(
                 "degree-zero piece changed dimension between levels t and p*t; "
                 "the carrier level is below the stable one"
             )
-        shift = (0,) * self.user_ring.nvars + ((self.p - 1) * t,) * self.dim
-        rows = [stair_pt.index[mono_mul(mono, shift)] for mono in piece.basis]
-        columns = []
-        for mono in piece.basis:
-            image = I_pt.coordinates(self.ring.monomial(mono).frobenius(1), stair_pt)
-            columns.append([image[r] for r in rows])
-        matrix = tuple(tuple(columns[j][i] for j in range(m)) for i in range(m))
-        return SemilinearOperator(fp, m, matrix, twist=1)
+        shift = (0,) * self.user_ring.nvars + ((p - 1) * t,) * self.dim
+        lifted = StaircaseBasis(self.ring, tuple(mono_mul(b, shift) for b in piece.basis))
+        I_pt = self.truncation_ideal(p * t)
+        columns = [
+            I_pt.coordinates(self.ring.monomial(tuple(p * x for x in b)), lifted)
+            for b in piece.basis
+        ]
+        return SemilinearOperator(self.ring.field, m, tuple(zip(*columns)), twist=1)
 
 
 @dataclass

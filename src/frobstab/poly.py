@@ -407,8 +407,10 @@ class Polynomial:
         """coeff * x^mono * self, the division-step primitive."""
         p = self.ring.p
         coeff %= p
-        if coeff == 0:
+        if coeff == 0 or not self.terms:
             return self.ring.zero()
+        # as in __mul__: the top degree of the product is the sum of the factors'
+        _check_degree(self.weighted_degree() + self.ring._wdeg(mono))
         return Polynomial(
             self.ring,
             tuple(((c * coeff) % p, mono_mul(e, mono)) for c, e in self.terms),

@@ -100,8 +100,9 @@ class RationalFunction:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def pth_root(self):

@@ -267,7 +267,7 @@ def _socle_fixpoint(graded, reps, images):
         for col, nf in zip(columns, nfs):
             # x_j * (r^q - NF(r^q)) lies in B
             for j, x in enumerate(graded.user_vars):
-                for c, mono in B.normal_form(x * nf).terms:
+                for c, mono in B.normal_form(nf.shift(1, x.lm())).terms:
                     col[(e, j, mono)] = c
         vecs = kernel(rows_from_columns(columns, ring.field), ring.field, ncols=len(reps))
         if not vecs or len(vecs) == dim:
@@ -286,8 +286,8 @@ def _frobenius_on_fixpoint(graded, reps, vecs, images):
     """
     ring, fp = graded.ring, graded.ring.field
     k = len(vecs)
-    shift = graded.sop_product() ** (graded.p - 1)
-    polys = [shift * _combine(v, reps, ring) for v in vecs]
+    shift = (0,) * graded.user_ring.nvars + (graded.p - 1,) * graded.dim
+    polys = [_combine(v, reps, ring).shift(1, shift) for v in vecs]
     polys += [_combine(v, images, ring) for v in vecs]
     rows = rows_from_columns([{mono: c for c, mono in f.terms} for f in polys], fp)
     lifted = [row[:k] for row in rows]
@@ -439,7 +439,8 @@ def connected_components_check(graded, stable_dim):
     m = len(basis)
     matrix = [[field.zero] * m for _ in range(m)]
     for j, b in enumerate(basis):
-        for c, e in graded.relations.normal_form(ring.monomial(b).frobenius(1)).terms:
+        power = ring.monomial(tuple(graded.p * x for x in b))
+        for c, e in graded.relations.normal_form(power).terms:
             i = position.get(e[:n])
             if i is None:
                 raise InconsistencyError("a Frobenius image leaves the degree-zero part of R_theta")

@@ -88,21 +88,19 @@ class MacaulayOracle:
 
 
 def staircase_oracle(ideal, weights=None, degree=None):
-    """Ideal.staircase by enumerate-and-filter: list every monomial of the
-    box under the pure powers (degree=None) or of the weighted degree, drop
-    those a lead divides, sort by the ring's order."""
+    """The standard monomials of an Artinian quotient by enumerate-and-filter:
+    list every monomial of the box under the pure powers of the leads, keep
+    those of weighted degree `degree` when one is given, drop those a lead
+    divides, sort by the ring's order."""
     ring = ideal.ring
     n = ring.nvars
     lts = ideal.leading_monomials()
     if not all(any(lead) for lead in lts):
         return ()  # unit ideal
-    if degree is None:
-        bounds = [min(e[i] for e in lts if e[i] and sum(e) == e[i]) for i in range(n)]
-        monos = itertools.product(*(range(b) for b in bounds))
-    else:
-        weights = weights or (1,) * n
-        box = itertools.product(*(range(degree // w + 1) for w in weights))
-        monos = (e for e in box if sum(w * x for w, x in zip(weights, e)) == degree)
+    bounds = [min(e[i] for e in lts if e[i] and sum(e) == e[i]) for i in range(n)]
+    monos = itertools.product(*(range(b) for b in bounds))
+    if degree is not None:
+        monos = (e for e in monos if sum(w * x for w, x in zip(weights, e)) == degree)
     out = [m for m in monos if not any(mono_divides(lead, m) for lead in lts)]
     return tuple(sorted(out, key=ring.key))
 
@@ -165,17 +163,18 @@ def buchberger_oracle(ideal):
     return [str(ring.from_dict(g)) for g in reduced]
 
 
-def dense_socle_oracle(ideal):
-    """socle_basis by one dense matrix: nvars blocks of dim rows, each the
-    staircase coordinates of x_j times every standard monomial, zero rows
-    included; its kernel gives the representatives."""
+def dense_socle_oracle(ideal, gens=None):
+    """socle_basis by one dense matrix: one block of dim rows per generator
+    of the maximal ideal (the variables when none are given), each the
+    staircase coordinates of the generator times every standard monomial,
+    zero rows included; its kernel gives the representatives."""
     ring = ideal.ring
     stair = ideal.staircase()
     if not stair.monomials:
         return []
     ncols = len(stair.monomials)
     rows = []
-    for v in ring.gens():
+    for v in gens or ring.gens():
         cols = [ideal.coordinates(v * ring.monomial(m), stair) for m in stair.monomials]
         for r in range(ncols):
             rows.append([cols[c][r] for c in range(ncols)])

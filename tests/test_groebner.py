@@ -392,17 +392,6 @@ def test_staircase_full_quotient():
     assert I.staircase().monomials == ((0, 0), (1, 0))
 
 
-def test_staircase_graded_piece():
-    I = ideal(["a*b", "a^3", "b^3"])
-    got = I.staircase(weights=(1, 1), degree=2)
-    assert set(got.monomials) == {(2, 0), (0, 2)}
-
-
-def test_staircase_degree_zero():
-    I = ideal(["a"])
-    assert I.staircase(weights=(1, 1), degree=0).monomials == ((0, 0),)
-
-
 def test_staircase_infinite_quotient_rejected():
     with pytest.raises(NotSupportedError):
         ideal(["a"]).staircase()
@@ -424,32 +413,12 @@ def small_ideals(draw, artinian):
     return Ideal(R, gens)
 
 
-@st.composite
-def staircase_cases(draw):
-    """(ideal, weights, degree): a random polynomial ideal in 1-3 variables,
-    made Artinian by pure powers half the time; Artinian ideals may ask
-    for the whole staircase (degree None), every ideal for a slice of
-    weighted degree 0-9 with weights 1-3."""
-    artinian = draw(st.booleans())
-    I = draw(small_ideals(artinian))
-    n = I.ring.nvars
-    if artinian and draw(st.booleans()):
-        return I, None, None
-    weights = draw(st.tuples(*[st.integers(1, 3)] * n))
-    return I, weights, draw(st.integers(0, 9))
-
-
 @settings(max_examples=150, deadline=None)
-@given(staircase_cases())
-@example((ideal(["a"]), (1, 1), 3))  # graded slice of a non-Artinian quotient
-@example((ideal(["a"]), (1, 1), 0))
-@example((ideal(["a*b^2", "b^3"]), (2, 3), 12))
-@example((ideal(["a^2", "a*b", "b^3"]), None, None))
-@example((ideal(["1"]), (1, 1), 0))
-def test_staircase_matches_enumerate_and_filter(case):
-    I, weights, degree = case
-    got = I.staircase(weights, degree).monomials
-    assert got == staircase_oracle(I, weights, degree)
+@given(small_ideals(artinian=True))
+@example(ideal(["a^2", "a*b", "b^3"]))
+@example(ideal(["1"]))
+def test_staircase_matches_enumerate_and_filter(I):
+    assert I.staircase().monomials == staircase_oracle(I)
 
 
 @contextmanager
@@ -469,28 +438,22 @@ def _within(seconds):
 
 
 def test_staircase_work_is_bounded_by_the_staircase():
-    # degree 60 in 8 variables has C(67, 7) ~ 8.7e8 monomials, none of
-    # them outside the squares; the walk sees at most 2^8 prefixes
+    # the box under the pure powers x^60 in 8 variables holds 60^8 ~ 1.7e14
+    # monomials, and only 1 + 8*59 lie outside the products x_i*x_j; the
+    # walk sees about 8 times that many prefixes
     R = ring(2, tuple("abcdefgh"))
-    I = Ideal(R, [x * x for x in R.gens()])
+    xs = R.gens()
+    gens = [x**60 for x in xs] + [x * y for i, x in enumerate(xs) for y in xs[i + 1 :]]
     with _within(2.0):
-        assert I.staircase(weights=(1,) * 8, degree=60).monomials == ()
-        assert len(I.staircase(weights=(1,) * 8, degree=4)) == 70
+        assert len(Ideal(R, gens).staircase()) == 1 + 8 * 59
 
 
-def test_staircase_six_variable_slice_matches_enumerate_and_filter():
-    # the octahedron's I_3 at p = 3 in the degree-zero slice 3*3
+def test_staircase_six_variables_matches_enumerate_and_filter():
+    # the octahedron's I_3 at p = 3
     R = ring(3, tuple("abcdef"))
     I = Ideal.parse(R, ["a*b", "c*d", "e*f", "(a+b)^3", "(c+d)^3", "(e+f)^3"])
-    got = I.staircase(weights=(1,) * 6, degree=9).monomials
-    assert got and got == staircase_oracle(I, (1,) * 6, 9)
-    weights = (1, 2, 1, 2, 1, 2)
-    assert I.staircase(weights, 12).monomials == staircase_oracle(I, weights, 12)
-
-
-def test_staircase_rejects_nonpositive_weights():
-    with pytest.raises(InputError):
-        ideal(["a^2", "b^2"]).staircase(weights=(1, 0), degree=3)
+    got = I.staircase().monomials
+    assert got and got == staircase_oracle(I)
 
 
 # --- socles ---------------------------------------------------------------------
@@ -527,10 +490,38 @@ def test_socle_contract():
         assert not I.contains(combo)
 
 
+COMMITTED_RING_FILES = [
+    os.path.join(folder, f)
+    for folder in (ZOO, DATA)
+    for f in sorted(os.listdir(folder))
+    if f.endswith(".json") and "_p" in f
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_ideals(artinian=True))
-def test_socle_matches_dense_matrix(I):
-    assert socle_basis(I) == dense_socle_oracle(I)
+def test_socle_matches_dense_matrix(case):
+    # a drawn ideal with m generated by its variables, or I_1 of a
+    # committed ring file with m generated by the user's variables, as the
+    # F-injectivity criterion and the socle route take it
+    if isinstance(case, Ideal):
+        I, gens = case, None
+    else:
+        graded = _ring_file(case)
+        I, gens = graded.truncation_ideal(1), graded.user_vars
+    assert socle_basis(I, gens) == dense_socle_oracle(I, gens)
+
+
+for _path in COMMITTED_RING_FILES:
+    test_socle_matches_dense_matrix = example(_path)(test_socle_matches_dense_matrix)
+
+
+def test_socle_takes_single_term_generators_only():
+    R = ring(3, ("a", "b"))
+    I = Ideal.parse(R, ["a^2", "b^2"])
+    with pytest.raises(InputError, match="single-term"):
+        socle_basis(I, [R.parse("a + b"), R.var("b")])
+    assert socle_basis(I, [R.parse("2*a"), R.var("b")]) == socle_basis(I)
 
 
 def test_socle_of_octahedron_truncation_matches_dense_matrix():

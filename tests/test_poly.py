@@ -271,6 +271,7 @@ DEGREE_2_62_CASES = {
     "parse-power": lambda R: R.parse("a^4611686018427387904"),
     "parse-product": lambda R: R.parse("a^4611686018427387903*b"),
     "product": lambda R: R.monomial((DEGREE_LIMIT // 2, 0)) * R.monomial((DEGREE_LIMIT // 2, 0)),
+    "shift": lambda R: R.monomial((DEGREE_LIMIT // 2, 0)).shift(1, (0, DEGREE_LIMIT // 2)),
 }
 
 

@@ -92,6 +92,26 @@ def test_normalization_idempotent_and_canonical(k):
         assert scaled == f
 
 
+def test_power_squares_no_further_than_its_last_bit(monkeypatch, k):
+    # 9 = 0b1001: three squarings and two multiplications into the result;
+    # each product is gcd-normalised, so a square past the last bit is waste
+    u, v = k.var("u"), k.var("v")
+    x = (u + k.one) / v
+    expected = k.one
+    for _ in range(9):
+        expected = expected * x
+    products = []
+    mul = RationalFunction.__mul__
+
+    def counted(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", counted)
+    assert x**9 == expected
+    assert len(products) == 5
+
+
 def test_field_operations(k):
     u, v = k.var("u"), k.var("v")
     one = k.one

@@ -23,7 +23,7 @@ from frobstab.frobenius import bracket_power, is_frobenius_closed
 from frobstab.groebner import Ideal
 from frobstab.linalg import kernel, rows_from_columns
 from frobstab.localcoh import CohomologyClass, GradedRing
-from frobstab.poly import PolyRing, mono_degree
+from frobstab.poly import PolyRing, mono_degree, mono_mul
 from frobstab.semilinear import SemilinearOperator
 from frobstab.stability import (
     CHAIN_NOT_STABILIZED,
@@ -392,7 +392,7 @@ def test_one_buchberger_run_per_ring_and_none_in_the_phases(monkeypatch, key):
 
 @pytest.mark.parametrize("key", COMMITTED)
 def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkeypatch, key):
-    built, walks, rings = [], [], []
+    built, walked, walking = [], [], []
     ideal, walk = localcoh.Ideal, groebner._standard_monomials
     staircase = groebner.Ideal.staircase
 
@@ -401,16 +401,16 @@ def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkey
         built.append((ring, gens))
         return ideal(ring, gens, reduced)
 
-    def counted_staircase(self, weights=None, degree=None):
-        rings.append(self.ring)
+    def counted_staircase(self):
+        walking.append(self)
         try:
-            return staircase(self, weights, degree)
+            return staircase(self)
         finally:
-            rings.pop()
+            walking.pop()
 
-    def counted_walk(ends, weights, degree):
-        walks.append((rings[-1], degree))
-        return walk(ends, weights, degree)
+    def counted_walk(ends):
+        walked.append(walking[-1])
+        return walk(ends)
 
     monkeypatch.setattr(localcoh, "Ideal", counted_ideal)
     monkeypatch.setattr(groebner.Ideal, "staircase", counted_staircase)
@@ -422,7 +422,7 @@ def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkey
         with pytest.raises(NotSupportedError):
             zoo_row(graded)
     # a truncation ideal is the one ideal of S' with T_1^t among its generators
-    n = graded.user_ring.nvars
+    n, p = graded.user_ring.nvars, graded.p
     levels = [
         g.lm()[n]
         for ring, gens in built
@@ -431,17 +431,64 @@ def test_each_truncation_level_and_whole_staircase_is_built_once_per_ring(monkey
         if len(g.terms) == 1 and g.lm()[n] and not any(g.lm()[:n] + g.lm()[n + 1 :])
     ]
     assert set(Counter(levels).values()) == {1}
-    if graded.cm_status == "verified":
-        assert {1, graded.p} <= set(levels)
-    # F-injectivity's socle, the a-invariant and the component check share
-    # one walk of I_1, and nothing walks a staircase in the user's ring
-    assert walks.count((graded.ring, None)) <= 1
-    assert all(ring is graded.ring for ring, _degree in walks)
     for t in levels:
         assert graded.truncation_ideal(t) is graded.truncation_ideal(t)
     I_1 = graded.truncation_ideal(1)
+    if graded.cm_status == "verified":
+        # a verdict walks one staircase, I_1's whole one: F-injectivity's
+        # socle, the a-invariant, the carrier and its lift, the socle route
+        # and the component check share it.  The carrier builds no I_T of
+        # its own; its images are reduced modulo I_pT
+        assert walked == [I_1]
+        powers = {p**e for e in range(1, max(levels).bit_length() + 1)}
+        top = p * graded.degree_zero_piece().level
+        assert {1, p} <= set(levels) <= {1, top} | powers
+    else:
+        assert walked == []
     assert I_1.staircase() is I_1.staircase()
     assert I_1.staircase().monomials == staircase_oracle(I_1)
+
+
+def _check_carrier_against_staircase_oracle(graded):
+    # the carrier at level T and its lift by T^((p-1)T) are the standard
+    # monomials of I_T and of I_pT in degree t * sum deg(T_i), listed by
+    # enumerate-and-filter over the box under the pure powers of each
+    piece = graded.degree_zero_piece()
+    t, p, degsum = piece.level, graded.p, graded.degree_sum()
+    shift = (0,) * graded.user_ring.nvars + ((p - 1) * t,) * graded.dim
+    lifted = tuple(mono_mul(b, shift) for b in piece.basis)
+    assert piece.basis == staircase_oracle(graded.truncation_ideal(t), graded.weights, t * degsum)
+    top = staircase_oracle(graded.truncation_ideal(p * t), graded.weights, p * t * degsum)
+    assert lifted == top == graded._degree_zero_basis(p * t)
+    return piece
+
+
+@pytest.mark.parametrize("key", [k for k in COMMITTED if k != "data:two_planes_p3"])
+def test_carrier_and_its_lift_match_the_staircase_oracle(key):
+    graded = _gate_ring(key)
+    assert graded.check_cm()[0] == "verified"
+    piece = _check_carrier_against_staircase_oracle(graded)
+    if key == "data:w16_p17":
+        assert (piece.level, len(piece)) == (7, 7)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    # (n, d, p) of a hypersurface with a(R) = d - n > 0, so its carrier sits above level 1
+    st.sampled_from([None, (3, 4, 2), (3, 5, 3), (3, 6, 5), (4, 5, 2), (4, 6, 3)]),
+)
+def test_carrier_and_its_lift_match_the_staircase_oracle_on_small_rings(seed, hypersurface):
+    if hypersurface is None:
+        data = random_small_ring(seed)
+    else:
+        data, _f = random_hypersurface(*hypersurface, seed)
+    try:
+        graded = GradedRing.from_dict(data)
+    except InputError:
+        return  # the random sop does not cut the ring down to dimension zero
+    if graded.check_cm()[0] == "verified":
+        _check_carrier_against_staircase_oracle(graded)
 
 
 def test_ring_files_parse_in_the_user_ring():
